@@ -5,14 +5,15 @@ The solvability test brackets the operators of differentiation pairwise and
 demands the zero field.  Completeness demands each bracket be a function-
 coefficient combination of the system's operators; bracket closure adds
 failing brackets as new generators until completeness (or the variable-count
-cap) is reached, and the number added is the system's defect.  Dimension
-formulas: n - m - defect for PDE systems (0 when m = n), n - defect for total
-differential systems, m - defect for Pfaff systems (n when m = n).
+cap) is reached, and the number added is the system's defect.
+``operator_family`` picks the PDE family whose closure gives the defect, and
+``dimension_from_defect`` holds the one dimension rule per kind: n - m - defect
+for PDE systems (0 when m = n), n - defect for total differential systems,
+m - defect for Pfaff systems (n when m = n).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -24,9 +25,9 @@ from .linalg import (
     ExprMatrix,
     SpanCertificate,
     SpanSolver,
-    echelon,
     generic_rank,
     in_span,
+    merge_locus,
     sample_points,
 )
 from .systems import (
@@ -51,6 +52,8 @@ __all__ = [
     "frobenius_td",
     "pde_completeness",
     "bracket_closure",
+    "operator_family",
+    "dimension_from_defect",
     "integral_basis_dimension",
     "verify_first_integral",
     "functional_independence",
@@ -70,26 +73,10 @@ def _orient(field_: VectorField) -> tuple[VectorField, bool]:
         coeff = field_.coefficient(name)
         if coeff.is_zero():
             continue
-        if _leading_positive(coeff):
+        if coeff.leading_sign() > 0:
             return field_, False
         return -field_, True
     return field_, False
-
-
-def _leading_positive(expr: Expr) -> bool:
-    gens = Expr._gens_for(expr.scope, expr._num)
-    if not gens:
-        return sm.Rational(expr._num) > 0
-    poly = sm.Poly(expr._num, *gens, domain="QQ")
-    best = max(poly.terms(), key=lambda t: (sum(t[0]), t[0]))
-    return best[1] > 0
-
-
-def _merge_locus(into: list[Expr], extra: Sequence[Expr]) -> list[Expr]:
-    for expr in extra:
-        if not expr.is_constant() and expr not in into:
-            into.append(expr)
-    return into
 
 
 @dataclass
@@ -147,7 +134,7 @@ def pde_completeness(pde: PdeSystem) -> CompletenessResult:
                 solver = SpanSolver(pde.coefficient_matrix())
             certificate = solver.query(bracket.coefficient_row())
             certificates[(i, j)] = certificate
-            _merge_locus(excluded, certificate.excluded)
+            merge_locus(excluded, certificate.excluded)
             if not certificate.member:
                 witness, _ = _orient(bracket)
                 return CompletenessResult(
@@ -176,6 +163,14 @@ class ClosureStep:
         if self.negated:
             left, right = right, left
         return f"[{left},{right}]"
+
+    def to_dict(self) -> dict:
+        """The JSON entry under ``added_generators``."""
+        return {
+            "name": self.name,
+            "from": self.describe(),
+            "operator": self.operator.print(),
+        }
 
 
 @dataclass
@@ -220,7 +215,7 @@ def bracket_closure(pde: PdeSystem, max_generators: int | None = None) -> Closur
                     resolved.add((i, j))
                     continue
                 certificate = solver.query(bracket.coefficient_row())
-                _merge_locus(excluded, certificate.excluded)
+                merge_locus(excluded, certificate.excluded)
                 if certificate.member:
                     resolved.add((i, j))
                     continue
@@ -245,7 +240,8 @@ def bracket_closure(pde: PdeSystem, max_generators: int | None = None) -> Closur
         if not grew:
             break
         if len(generators) >= cap:
-            capped = True
+            # cut off unless the family already spans all n directions
+            capped = solver.rank + 1 < len(scope)
             break
     completed = PdeSystem(scope, tuple(generators), names=tuple(gen_names))
     return ClosureResult(
@@ -258,32 +254,49 @@ def bracket_closure(pde: PdeSystem, max_generators: int | None = None) -> Closur
     )
 
 
-def integral_basis_dimension(system: System) -> tuple[int, str]:
-    """Dimension of the basis of first integrals, with a derivation note."""
+def operator_family(system: System) -> tuple[PdeSystem | None, list[Expr]]:
+    """The PDE family whose common solutions are the system's first integrals.
+
+    A PDE system is its own family, a total differential system gives its
+    operators of differentiation, and a Pfaff system with m < n the operators
+    dual to a frame completion (the contragredient), whose excluded locus is
+    returned alongside.  A square Pfaff system has none: its coordinates are
+    integrals.
+    """
     if system.kind == "pde":
-        pde = system.pde
-        if pde.m == len(pde.scope):
-            return 0, "as many operators as variables: constants only"
-        closure = bracket_closure(pde)
-        dim = len(pde.scope) - pde.m - closure.defect
-        return dim, (
-            f"{len(pde.scope)} variables - {pde.m} operators - "
-            f"defect {closure.defect}"
-        )
+        return system.pde, []
+    if system.kind == "td":
+        return td_to_pde(system.td, "nonautonomous"), []
+    pf = system.pfaff
+    if pf.m == pf.n:
+        return None, []
+    contragredient = pfaff_contragredient(pf)
+    return contragredient.pde, contragredient.excluded
+
+
+def dimension_from_defect(system: System, defect: int) -> tuple[int, str]:
+    """Dimension of the basis of first integrals, with a derivation note."""
     if system.kind == "td":
         td = system.td
-        closure = bracket_closure(td_to_pde(td, "nonautonomous"))
-        return td.n - closure.defect, (
-            f"{td.n} dependents - defect {closure.defect}"
+        return td.n - defect, f"{td.n} dependents - defect {defect}"
+    if system.kind == "pde":
+        pde = system.pde
+        if pde.m == pde.n:
+            return 0, "as many operators as variables: constants only"
+        return pde.n - pde.m - defect, (
+            f"{pde.n} variables - {pde.m} operators - defect {defect}"
         )
     pf = system.pfaff
     if pf.m == pf.n:
         return pf.n, "square nonsingular system: coordinate integrals"
-    contragredient = pfaff_contragredient(pf)
-    closure = bracket_closure(contragredient.pde)
-    return pf.m - closure.defect, (
-        f"{pf.m} forms - dual-system defect {closure.defect}"
-    )
+    return pf.m - defect, f"{pf.m} forms - dual-system defect {defect}"
+
+
+def integral_basis_dimension(system: System) -> tuple[int, str]:
+    """Dimension of the basis of first integrals, with a derivation note."""
+    family, _ = operator_family(system)
+    defect = bracket_closure(family).defect if family is not None else 0
+    return dimension_from_defect(system, defect)
 
 
 @dataclass
@@ -299,6 +312,30 @@ class IntegralCertificate:
     witness_value: str | None = None
     excluded: list[Expr] = field(default_factory=list)
 
+    def to_dict(self) -> dict:
+        """The JSON entry under ``integrals``, for ``analyze`` and ``verify``."""
+        entry: dict = {
+            "expr": self.integral.print(),
+            "verdict": "valid" if self.valid else "invalid",
+        }
+        if self.residuals is not None:
+            entry["residuals"] = [r.print() for r in self.residuals]
+        if self.multipliers is not None:
+            entry["multipliers"] = [c.print() for c in self.multipliers]
+        if self.witness_point is not None:
+            entry["witness_point"] = {
+                name: str(value)
+                for name, value in sorted(self.witness_point.assignment.items())
+            }
+            entry["witness_value"] = self.witness_value
+        if self.span is not None and not self.span.member:
+            entry["witness_minor"] = {
+                "rows": self.span.witness_rows,
+                "cols": self.span.witness_cols,
+                "minor": self.span.witness_minor.print(),
+            }
+        return entry
+
 
 def verify_first_integral(
     system: System, integral: Expr, seed: int = 0
@@ -310,11 +347,8 @@ def verify_first_integral(
         raise SystemError(f"integral references undeclared {sorted(unknown)}")
     integral = scope.lift(integral)
     if system.kind in ("td", "pde"):
-        if system.kind == "td":
-            operators = td_to_pde(system.td, "nonautonomous").operators
-        else:
-            operators = system.pde.operators
-        residuals = [op.apply(integral) for op in operators]
+        family, _ = operator_family(system)
+        residuals = [op.apply(integral) for op in family.operators]
         if all(r.is_zero() for r in residuals):
             return IntegralCertificate(integral, True, residuals=residuals)
         point, value = _nonzero_witness(residuals, scope, seed)
@@ -349,11 +383,9 @@ def _nonzero_witness(
 ) -> tuple[Point | None, str | None]:
     """A sample point where some residual provably does not vanish."""
     nonzero = [r for r in residuals if not r.is_zero()]
-    avoid: list[Expr] = []
-    for r in nonzero:
-        denominator = Expr._canonical(scope, r._den, sm.Integer(1))
-        if not denominator.is_constant() and denominator not in avoid:
-            avoid.append(denominator)
+    avoid = merge_locus(
+        [], (Expr._canonical(scope, r._den, sm.Integer(1)) for r in nonzero)
+    )
     import mpmath
 
     for attempt in range(8):
@@ -431,9 +463,9 @@ def pfaff_closure_check(pf: PfaffSystem, method: str = "both") -> ClosureCheck:
             contra_verdict = True  # square case: coordinate integrals exist
         else:
             contragredient = pfaff_contragredient(pf)
-            _merge_locus(excluded, contragredient.excluded)
+            merge_locus(excluded, contragredient.excluded)
             completeness = pde_completeness(contragredient.pde)
-            _merge_locus(excluded, completeness.excluded)
+            merge_locus(excluded, completeness.excluded)
             contra_verdict = completeness.complete
     if method == "wedge":
         return ClosureCheck(wedge_verdict, method, wedge_witness=wedge_witness)
@@ -500,76 +532,57 @@ def analyze(
     excluded: list[Expr] = list(system.excluded_locus)
     warnings = list(system.warnings)
     witness = None
-    added: list[ClosureStep] = []
     jacobian: bool | None = None
+    family: PdeSystem | None = None
 
     if system.kind == "td":
-        td = system.td
         rank_ok = True
-        check = frobenius_td(td)
+        check = frobenius_td(system.td)
         verdict_name, verdict = "solvable", check.complete
         jacobian = check.complete
         if check.witness_bracket is not None:
             witness = check.witness_bracket.print()
-        closure = bracket_closure(
-            td_to_pde(td, "nonautonomous"), max_generators=max_generators
-        )
-        _merge_locus(excluded, closure.excluded)
-        added = closure.added
-        defect = closure.defect
-        dimension = td.n - defect
-        note = f"{td.n} dependents - defect {defect}"
     elif system.kind == "pde":
-        pde = system.pde
-        rank_ok = pde.validate_rank()
-        check = pde_completeness(pde)
+        rank_ok = system.pde.validate_rank()
+        check = pde_completeness(system.pde)
         verdict_name, verdict = "complete", check.complete
         jacobian = check.jacobian
-        _merge_locus(excluded, check.excluded)
+        merge_locus(excluded, check.excluded)
         if check.witness_bracket is not None:
             witness = check.witness_bracket.print()
-        closure = bracket_closure(pde, max_generators=max_generators)
-        _merge_locus(excluded, closure.excluded)
-        added = closure.added
-        defect = closure.defect
-        if pde.m == len(pde.scope):
-            dimension = 0
-            note = "as many operators as variables: constants only"
-        else:
-            dimension = len(pde.scope) - pde.m - defect
-            note = f"{len(pde.scope)} variables - {pde.m} operators - defect {defect}"
     else:
         pf = system.pfaff
         rank_ok = pf.validate_rank()
         check = pfaff_closure_check(pf, method=method)
         verdict_name, verdict = "closed", check.closed
-        _merge_locus(excluded, check.excluded)
+        merge_locus(excluded, check.excluded)
         if check.wedge_witness is not None:
             j, obstruction = check.wedge_witness
             witness = f"d({pf.names[j]}) wedge forms = {obstruction.print()}"
         elif check.completeness and check.completeness.witness_bracket is not None:
             witness = check.completeness.witness_bracket.print()
-        if pf.m == pf.n:
-            defect = 0
-            dimension = pf.n
-            note = "square nonsingular system: coordinate integrals"
-            jacobian = None
-        else:
-            contragredient = check.contragredient or pfaff_contragredient(pf)
-            _merge_locus(excluded, contragredient.excluded)
-            closure = bracket_closure(
-                contragredient.pde, max_generators=max_generators
-            )
-            _merge_locus(excluded, closure.excluded)
-            added = closure.added
-            defect = closure.defect
-            dimension = pf.m - defect
-            note = f"{pf.m} forms - dual-system defect {defect}"
+        if check.contragredient is not None:  # its locus is in check.excluded
+            family = check.contragredient.pde
+
+    if family is None:
+        family, family_excluded = operator_family(system)
+        merge_locus(excluded, family_excluded)
+    defect, added, capped = 0, [], False
+    if family is not None:
+        closure = bracket_closure(family, max_generators=max_generators)
+        merge_locus(excluded, closure.excluded)
+        defect, added, capped = closure.defect, closure.added, closure.capped
+    dimension, note = dimension_from_defect(system, defect)
+    if capped:
+        warnings.append(
+            f"bracket closure stopped at the generator cap: defect {defect} "
+            f"is only a lower bound and dimension {dimension} an upper bound"
+        )
 
     certificates = []
     for integral in integrals:
         certificate = verify_first_integral(system, integral, seed=seed)
-        _merge_locus(excluded, certificate.excluded)
+        merge_locus(excluded, certificate.excluded)
         certificates.append(certificate)
 
     return AnalysisReport(
@@ -594,29 +607,6 @@ def analyze(
 
 def report_to_dict(report: AnalysisReport) -> dict:
     """Stable JSON-ready rendering of an analysis report."""
-    integrals = []
-    for certificate in report.integrals:
-        entry: dict = {
-            "expr": certificate.integral.print(),
-            "verdict": "valid" if certificate.valid else "invalid",
-        }
-        if certificate.residuals is not None:
-            entry["residuals"] = [r.print() for r in certificate.residuals]
-        if certificate.multipliers is not None:
-            entry["multipliers"] = [c.print() for c in certificate.multipliers]
-        if certificate.witness_point is not None:
-            entry["witness_point"] = {
-                name: str(value)
-                for name, value in sorted(certificate.witness_point.assignment.items())
-            }
-            entry["witness_value"] = certificate.witness_value
-        if certificate.span is not None and not certificate.span.member:
-            entry["witness_minor"] = {
-                "rows": certificate.span.witness_rows,
-                "cols": certificate.span.witness_cols,
-                "minor": certificate.span.witness_minor.print(),
-            }
-        integrals.append(entry)
     return {
         "kind": report.kind,
         "vars": report.variables,
@@ -627,16 +617,9 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "dimension": report.dimension,
         "dimension_note": report.dimension_note,
         "witness": report.witness,
-        "added_generators": [
-            {
-                "name": step.name,
-                "from": step.describe(),
-                "operator": step.operator.print(),
-            }
-            for step in report.added_generators
-        ],
+        "added_generators": [step.to_dict() for step in report.added_generators],
         "excluded_locus": sorted(e.print() for e in report.excluded_locus),
-        "integrals": integrals,
+        "integrals": [certificate.to_dict() for certificate in report.integrals],
         "seed": report.seed,
         "warnings": report.warnings,
     }

@@ -14,17 +14,19 @@ import sys
 from pathlib import Path
 
 from .analysis import (
+    CompletenessResult,
     MethodDisagreement,
     analyze,
     bracket_closure,
+    operator_family,
     pde_completeness,
     report_to_dict,
     verify_first_integral,
 )
 from .dsl import parse_system, serialize, system_to_dict
 from .expr import Expr, ExprError, ParseError
+from .linalg import merge_locus
 from .systems import (
-    PdeSystem,
     System,
     SystemError,
     normal_pde_to_td,
@@ -131,33 +133,17 @@ def _cmd_verify(args) -> int:
     if not args.integral:
         raise CliError("verify requires at least one --integral")
     integrals = _parse_integrals(system, args.integral)
-    results = []
-    any_invalid = False
-    for integral in integrals:
-        certificate = verify_first_integral(system, integral, seed=args.seed)
-        any_invalid = any_invalid or not certificate.valid
-        entry = {
-            "expr": certificate.integral.print(),
-            "verdict": "valid" if certificate.valid else "invalid",
-        }
-        if certificate.residuals is not None:
-            entry["residuals"] = [r.print() for r in certificate.residuals]
-        if certificate.multipliers is not None:
-            entry["multipliers"] = [m.print() for m in certificate.multipliers]
-        if certificate.witness_point is not None:
-            entry["witness_point"] = {
-                name: str(value)
-                for name, value in sorted(
-                    certificate.witness_point.assignment.items()
-                )
-            }
-        results.append(entry)
+    certificates = [
+        verify_first_integral(system, integral, seed=args.seed)
+        for integral in integrals
+    ]
+    results = [certificate.to_dict() for certificate in certificates]
     payload = {"kind": system.kind, "integrals": results, "seed": args.seed}
     human = "\n".join(
         f"{entry['expr']}: {entry['verdict']}" for entry in results
     )
     _emit(payload, args.json, human)
-    if args.expect_valid and any_invalid:
+    if args.expect_valid and any(not c.valid for c in certificates):
         return VERIFY_FAILURE
     return 0
 
@@ -212,9 +198,7 @@ def _cmd_convert(args) -> int:
         converted, excluded = _convert(system, args.to, pivots)
     except (SystemError, ExprError) as error:
         raise CliError(str(error)) from error
-    converted.excluded_locus = [
-        e for e in excluded if not e.is_constant()
-    ]
+    converted.excluded_locus = merge_locus([], excluded)
     converted.name = system.name
     converted.source = system.source
     if args.json:
@@ -224,36 +208,26 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _operator_family(system: System) -> PdeSystem:
-    if system.kind == "pde":
-        return system.pde
-    if system.kind == "td":
-        return td_to_pde(system.td, "nonautonomous")
-    return pfaff_contragredient(system.pfaff).pde
-
-
 def _cmd_complete(args) -> int:
     system = _load_system(args.input)
-    pde = _operator_family(system)
-    closure = bracket_closure(pde, max_generators=args.max_generators)
-    completed = System(kind="pde", pde=closure.completed, name=system.name)
+    pde, _ = operator_family(system)
+    if pde is None:  # a square Pfaff system is complete as it stands
+        added, excluded, capped = [], [], False
+        completed = System(kind=system.kind, pfaff=system.pfaff, name=system.name)
+    else:
+        closure = bracket_closure(pde, max_generators=args.max_generators)
+        added, excluded, capped = closure.added, closure.excluded, closure.capped
+        completed = System(kind="pde", pde=closure.completed, name=system.name)
     payload = {
         "kind": system.kind,
-        "defect": closure.defect,
-        "capped": closure.capped,
-        "added_generators": [
-            {
-                "name": step.name,
-                "from": step.describe(),
-                "operator": step.operator.print(),
-            }
-            for step in closure.added
-        ],
-        "excluded_locus": sorted(e.print() for e in closure.excluded),
+        "defect": len(added),
+        "capped": capped,
+        "added_generators": [step.to_dict() for step in added],
+        "excluded_locus": sorted(e.print() for e in excluded),
         "system": system_to_dict(completed),
     }
-    human_lines = [f"defect: {closure.defect}"]
-    for step in closure.added:
+    human_lines = [f"defect: {len(added)}"]
+    for step in added:
         human_lines.append(
             f"added {step.name} = {step.describe()} -> {step.operator.print()}"
         )
@@ -264,8 +238,11 @@ def _cmd_complete(args) -> int:
 
 def _cmd_bracket(args) -> int:
     system = _load_system(args.input)
-    pde = _operator_family(system)
-    result = pde_completeness(pde)
+    pde, _ = operator_family(system)
+    if pde is None:  # a square Pfaff system has no operators to bracket
+        result = CompletenessResult(complete=True, jacobian=True, certificates={})
+    else:
+        result = pde_completeness(pde)
     rows = []
     for (i, j), certificate in sorted(result.certificates.items()):
         bracket = pde.operators[i].bracket(pde.operators[j])

@@ -13,7 +13,8 @@ Canonical form invariants:
   read back into a ``Poly`` with ``expand=False``;
 * the denominator is primitive with integer coefficients and its leading
   coefficient (graded lexicographic, declared variable order, kernels last)
-  is positive;
+  is positive, so a rational constant p/q is stored as ``(p/q, 1)``, whichever
+  operation made it;
 * a monomial carries at most one kernel symbol, to the first power: products
   and powers of kernels are merged additively (``exp(a)*exp(b) -> exp(a+b)``);
 * ``exp(0)`` never survives (rewritten to 1), and kernels with equal
@@ -38,10 +39,6 @@ __all__ = [
     "ParseError",
     "EvalError",
     "parse_expr",
-    "differentiate",
-    "is_zero",
-    "evaluate",
-    "substitute",
 ]
 
 _NAME_RE = re.compile(r"\A[a-z][a-z0-9_]*\Z")
@@ -154,8 +151,7 @@ class Scope:
         return Expr._make(self, self.symbol(name), sm.Integer(1))
 
     def const(self, value: Rat) -> "Expr":
-        value = sm.Rational(value)
-        return Expr._make(self, value.p * sm.Integer(1), sm.Integer(value.q))
+        return Expr._make(self, sm.Rational(value), sm.Integer(1))
 
     @property
     def zero(self) -> "Expr":
@@ -339,8 +335,7 @@ class Expr:
             num = _merge_kernel_monomials(num * unit, scope)
         gens = cls._gens_for(scope, num, den)
         if not gens:
-            value = sm.Rational(num) / sm.Rational(den)
-            return cls._make(scope, sm.Integer(value.p), sm.Integer(value.q))
+            return cls._make(scope, sm.Rational(num) / sm.Rational(den), sm.Integer(1))
         try:
             num_poly = sm.Poly(num, *gens, domain="QQ")
             den_poly = sm.Poly(den, *gens, domain="QQ")
@@ -355,8 +350,9 @@ class Expr:
                 num = _merge_kernel_monomials(num * unit, scope)
             gens = cls._gens_for(scope, num, den)
             if not gens:
-                value = sm.Rational(num) / sm.Rational(den)
-                return cls._make(scope, sm.Integer(value.p), sm.Integer(value.q))
+                return cls._make(
+                    scope, sm.Rational(num) / sm.Rational(den), sm.Integer(1)
+                )
             num_poly = sm.Poly(num, *gens, domain="QQ")
             den_poly = sm.Poly(den, *gens, domain="QQ")
         return cls._from_polys(scope, num_poly, den_poly)
@@ -420,6 +416,15 @@ class Expr:
 
     def is_constant(self) -> bool:
         return not self._num.free_symbols and not self._den.free_symbols
+
+    def leading_sign(self) -> int:
+        """Sign of the numerator's grlex-leading coefficient (kernels last).
+
+        The denominator leads positive, so this orients the whole expression;
+        zero counts as negative.
+        """
+        gens = self._gens_for(self._scope, self._num)
+        return 1 if _leading_coeff(self._num, gens) > 0 else -1
 
     def has_kernels(self) -> bool:
         return bool(_kernel_symbols(self._num) or _kernel_symbols(self._den))
@@ -906,22 +911,3 @@ class _Parser:
 def parse_expr(text: str, scope: Scope) -> Expr:
     return scope.parse(text)
 
-
-def differentiate(expression: Expr, var: str) -> Expr:
-    return expression.diff(var)
-
-
-def is_zero(expression: Expr) -> bool:
-    return expression.is_zero()
-
-
-def evaluate(expression: Expr, point: Point, mode: str = "exact", precision_bits: int = 64):
-    if mode == "exact":
-        return expression.eval_exact(point)
-    if mode == "float":
-        return expression.eval_float(point, precision_bits)
-    raise ValueError(f"unknown evaluation mode {mode!r}")
-
-
-def substitute(expression: Expr, bindings: Mapping[str, Expr]) -> Expr:
-    return expression.subs(bindings)

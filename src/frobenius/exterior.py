@@ -17,9 +17,7 @@ __all__ = [
     "VectorField",
     "KForm",
     "zero_form",
-    "apply_field",
     "lie_bracket",
-    "exterior_derivative",
     "wedge",
     "differential",
 ]
@@ -386,16 +384,8 @@ def zero_form(scope: Scope, degree: int) -> KForm:
     return KForm(scope, degree, {})
 
 
-def apply_field(field: VectorField, expression: Expr) -> Expr:
-    return field.apply(expression)
-
-
 def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
     return a.bracket(b)
-
-
-def exterior_derivative(form: KForm) -> KForm:
-    return form.d()
 
 
 def wedge(a: KForm, b: KForm) -> KForm:

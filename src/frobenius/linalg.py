@@ -29,6 +29,7 @@ __all__ = [
     "solve",
     "in_span",
     "determinant",
+    "merge_locus",
     "sample_points",
 ]
 
@@ -131,6 +132,14 @@ class Echelon:
         return sorted(c for _, c in self.pivots)
 
 
+def merge_locus(into: list[Expr], extra: Iterable[Expr]) -> list[Expr]:
+    """Append each nonconstant expression of extra that into lacks."""
+    for expr in extra:
+        if not expr.is_constant() and expr not in into:
+            into.append(expr)
+    return into
+
+
 def _locus_factors(entry: Expr, into: list[Expr]) -> None:
     """Append the nonconstant irreducible factors of num and den of entry."""
     scope = entry.scope
@@ -139,23 +148,9 @@ def _locus_factors(entry: Expr, into: list[Expr]) -> None:
             continue
         for factor, _ in sm.factor_list(part)[1]:
             expr = Expr._canonical(scope, sm.expand(factor), sm.Integer(1))
-            if expr.is_constant():
-                continue
             if expr._num.is_Symbol and expr.has_kernels():
                 continue  # bare exponential kernels never vanish
-            if _leading_sign(expr) < 0:
-                expr = -expr
-            if expr not in into:
-                into.append(expr)
-
-
-def _leading_sign(expr: Expr) -> int:
-    gens = Expr._gens_for(expr.scope, expr._num)
-    if not gens:
-        return 1 if sm.Rational(expr._num) > 0 else -1
-    poly = sm.Poly(expr._num, *gens, domain="QQ")
-    best = max(poly.terms(), key=lambda t: (sum(t[0]), t[0]))
-    return 1 if best[1] > 0 else -1
+            merge_locus(into, [expr if expr.leading_sign() > 0 else -expr])
 
 
 def echelon(

@@ -14,7 +14,15 @@ from typing import Mapping, Sequence
 
 from .expr import Expr, ExprError, Scope
 from .exterior import KForm, VectorField, differential
-from .linalg import ExprMatrix, LinalgError, echelon, generic_rank, in_span, invert
+from .linalg import (
+    ExprMatrix,
+    LinalgError,
+    echelon,
+    generic_rank,
+    in_span,
+    invert,
+    merge_locus,
+)
 
 __all__ = [
     "TdSystem",
@@ -236,13 +244,6 @@ class System:
         return self.body.scope
 
 
-def _merge_locus(into: list[Expr], extra: Sequence[Expr]) -> list[Expr]:
-    for expr in extra:
-        if not expr.is_constant() and expr not in into:
-            into.append(expr)
-    return into
-
-
 def td_to_pde(td: TdSystem, mode: str = "nonautonomous") -> PdeSystem:
     """Operators of differentiation along the system's directions.
 
@@ -383,7 +384,7 @@ def pfaff_to_td(
         inverse, inv_excluded = invert(pivot_block)
     except LinalgError as error:
         raise SystemError(f"singular pivot choice: {error}") from error
-    _merge_locus(excluded, inv_excluded)
+    merge_locus(excluded, inv_excluded)
     rest_block = ExprMatrix.from_rows(
         [
             [matrix.at(i, scope.index(name)) for name in rest_names]
@@ -486,13 +487,13 @@ def pfaff_reduce_by_integrals(
             raise SystemError(
                 f"{integral} is not a first integral of the Pfaff system"
             )
-        _merge_locus(excluded, certificate.excluded)
+        merge_locus(excluded, certificate.excluded)
         expansion_rows.append(certificate.coefficients)
     multiplier = ExprMatrix.from_rows(expansion_rows)
     result = echelon(multiplier)
     if result.rank < len(integrals):
         raise SystemError("integrals are functionally dependent on the forms")
-    _merge_locus(excluded, result.excluded)
+    merge_locus(excluded, result.excluded)
     consumed = set(result.pivot_cols())
     new_forms = [differential(scope.lift(F)) for F in integrals]
     new_names = [f"df{k + 1}" for k in range(len(integrals))]
@@ -528,7 +529,7 @@ def td_defect_reduction(td: TdSystem) -> tuple[TdSystem, list[Expr]]:
     normalized, norm_excluded = pde_normalize(
         closure.completed, pivots=list(td.indep)
     )
-    _merge_locus(excluded, norm_excluded)
+    merge_locus(excluded, norm_excluded)
     reduced = normal_pde_to_td(normalized)
     check = frobenius_td(reduced)
     if not check.complete:

@@ -8,6 +8,7 @@ from frobenius.analysis import (
     frobenius_td,
     functional_independence,
     integral_basis_dimension,
+    operator_family,
     pde_completeness,
     pfaff_closure_check,
     verify_first_integral,
@@ -118,6 +119,14 @@ class TestBracketClosure:
         closure = bracket_closure(pde, max_generators=3)
         assert closure.defect == 1
         assert closure.capped
+
+    def test_full_rank_at_the_cap_is_not_capped(self):
+        # 2 operators on 4 variables close by adding 2: the default cap of 4
+        # generators is reached exactly when the family spans every direction
+        family, _ = operator_family(load_fixture("ex_3_7"))
+        closure = bracket_closure(family)
+        assert closure.defect == 2 and len(closure.completed.operators) == 4
+        assert not closure.capped
 
     def test_closure_preserves_verification(self):
         for name, texts in {
@@ -296,6 +305,19 @@ class TestAnalyze:
         assert any(
             e.print() == "x3^2 + x4^2 + x5^2 - 1" for e in report.excluded_locus
         )
+
+    def test_capped_closure_warns_of_bounds(self):
+        system = load_fixture("ex_2_10")
+        assert analyze(system).warnings == []
+        report = analyze(system, max_generators=3)
+        assert (report.defect, report.dimension) == (1, 2)
+        assert report.warnings == [
+            "bracket closure stopped at the generator cap: defect 1 is only "
+            "a lower bound and dimension 2 an upper bound"
+        ]
+
+    def test_square_pfaff_has_no_operator_family(self):
+        assert operator_family(load_fixture("ex_4_2")) == (None, [])
 
     def test_pfaff_report_with_pivot_trace(self):
         report = analyze(load_fixture("ex_4_8"))

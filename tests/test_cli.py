@@ -170,6 +170,39 @@ class TestCompleteAndBracket:
         assert payload["defect"] == 1
         assert payload["capped"] is True
 
+    def test_closure_reaching_full_rank_is_not_capped(self):
+        result = run_cli("complete", str(FIXTURES / "ex_3_7.dsys"), "--json")
+        payload = json.loads(result.stdout)
+        assert payload["defect"] == 2 and len(payload["system"]["entries"]) == 4
+        assert payload["capped"] is False
+
+    def test_analyze_warns_under_a_user_cap(self):
+        result = run_cli(
+            "analyze", str(FIXTURES / "ex_2_10.dsys"), "--max-generators", "3"
+        )
+        assert result.returncode == 0
+        assert "warning: bracket closure stopped at the generator cap" in result.stdout
+
+    def test_complete_square_pfaff(self):
+        result = run_cli("complete", str(FIXTURES / "ex_4_2.dsys"), "--json")
+        assert result.returncode == 0
+        payload = json.loads(result.stdout)
+        assert payload["defect"] == 0 and payload["capped"] is False
+        assert payload["added_generators"] == [] and payload["excluded_locus"] == []
+        assert payload["system"]["kind"] == "pfaff"
+        assert payload["system"]["entries"][2] == "d(x1) + d(x2) + (x2 + 2)*d(x3)"
+
+    def test_bracket_square_pfaff(self):
+        result = run_cli("bracket", str(FIXTURES / "ex_4_2.dsys"), "--json")
+        assert result.returncode == 0
+        assert json.loads(result.stdout) == {
+            "kind": "pfaff",
+            "complete": True,
+            "jacobian": True,
+            "brackets": [],
+            "witness": None,
+        }
+
 
 class TestCheckFixtures:
     def test_full_corpus_passes(self):

@@ -210,6 +210,22 @@ class TestCanonicalForm:
         assert expr == scope.parse("-x1/(x2 - 1)")
         assert expr._den == (scope.var("x2") - scope.one)._num
 
+    def test_rational_constant_has_one_stored_form(self):
+        scope = Scope(["x1"])
+        half = scope.const(Fraction(1, 2))
+        via_sum = scope.parse("1/2 - x1") + scope.var("x1")
+        assert via_sum == half and hash(via_sum) == hash(half)
+        assert scope.parse("1/2") == half == scope.parse("x1/2").diff("x1")
+        assert (half._num, half._den) == (sm.Rational(1, 2), 1)
+
+    def test_leading_sign_follows_grlex_order(self):
+        scope = Scope(["x1", "x2"])
+        assert scope.parse("x2^2 - x1").leading_sign() == 1
+        assert scope.parse("x1 - x2^2").leading_sign() == -1
+        assert scope.parse("-x1*x2 + x1^2").leading_sign() == 1
+        assert scope.parse("-3/(x1 + 1)").leading_sign() == -1
+        assert scope.zero.leading_sign() == -1
+
     @given(
         a=st.integers(-40, 40),
         b=st.integers(-40, 40),

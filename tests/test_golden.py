@@ -1,0 +1,72 @@
+"""Byte-for-byte `analyze --json` outputs, and `verify --json` agreeing with them.
+
+Each case runs `frobenius analyze <fixture> --json` with the fixture's sidecar
+integrals, plus a few invalid integrals (no sidecar holds one) so that every
+certificate field appears: residuals with an exact and a float witness value
+(td, pde) and a witness minor (pfaff).  To rewrite the stored outputs after an
+intended change of the report, run ``PYTHONPATH=src python tests/test_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from conftest import FIXTURES
+from frobenius.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+INVALID = {
+    "ex_1_7-invalid": ("ex_1_7", ["x1", "x1*exp(t1)"]),
+    "ex_2_32-invalid": ("ex_2_32", ["x1"]),
+    "ex_4_1-invalid": ("ex_4_1", ["x1*x2"]),
+    "ex_4_6-invalid": ("ex_4_6", ["x"]),
+}
+
+
+def _cases() -> dict[str, tuple[str, list[str]]]:
+    cases = {}
+    for path in sorted(FIXTURES.glob("*.dsys")):
+        sidecar = json.loads(path.with_suffix(".expected.json").read_text())
+        cases[path.stem] = (path.stem, [i["expr"] for i in sidecar.get("integrals", [])])
+    cases.update(INVALID)
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(command: str, fixture: str, integrals: list[str]) -> str:
+    argv = [command, str(FIXTURES / f"{fixture}.dsys"), "--json"]
+    for integral in integrals:
+        argv += ["--integral", integral]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_analyze_json_matches_golden(case):
+    fixture, integrals = CASES[case]
+    expected = (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
+    assert _run("analyze", fixture, integrals) == expected
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c][1]))
+def test_verify_entries_equal_analyze_entries(case):
+    fixture, integrals = CASES[case]
+    analyzed = json.loads((GOLDEN / f"{case}.json").read_text(encoding="utf-8"))
+    verified = json.loads(_run("verify", fixture, integrals))
+    assert verified["integrals"] == analyzed["integrals"]
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (fixture, integrals) in sorted(CASES.items()):
+        (GOLDEN / f"{name}.json").write_text(
+            _run("analyze", fixture, integrals), encoding="utf-8"
+        )

@@ -16,6 +16,7 @@ from frobenius.linalg import (
     generic_rank,
     in_span,
     invert,
+    merge_locus,
     sample_points,
     solve,
 )
@@ -333,6 +334,13 @@ class TestInSpan:
             ]
             assert all((a - b).is_zero() for a, b in zip(combo, target))
             hits += 1
+
+
+def test_merge_locus_skips_constants_and_repeats(s5):
+    x1, x2 = s5.var("x1"), s5.var("x2")
+    into = [x1]
+    assert merge_locus(into, [s5.const(3), x2, x1, x2]) is into
+    assert into == [x1, x2]
 
 
 class TestSamplePoints:
