@@ -2,9 +2,12 @@
 the acceptance gate.
 
 Each suite raises AssertionError on the first violation and returns the
-number of cases exercised.
+number of cases exercised. A suite is a pure function of its arguments, so a
+passing result is cached: the property tests and the acceptance gate share one
+run per session. A failing suite raises and is not cached.
 """
 
+import functools
 import random
 
 from frobenius.analysis import pfaff_closure_check, verify_first_integral
@@ -41,6 +44,7 @@ def _random_one_form(rng, scope, degree=2):
     )
 
 
+@functools.cache
 def jacobi_identity_suite(cases: int = 100, seed: int = 101) -> int:
     scope = Scope(["x1", "x2", "x3", "x4"])
     rng = random.Random(seed)
@@ -57,6 +61,7 @@ def jacobi_identity_suite(cases: int = 100, seed: int = 101) -> int:
     return cases
 
 
+@functools.cache
 def dd_zero_suite(cases: int = 100, seed: int = 103) -> int:
     scope = Scope(["x1", "x2", "x3", "x4"])
     rng = random.Random(seed)
@@ -68,6 +73,7 @@ def dd_zero_suite(cases: int = 100, seed: int = 103) -> int:
     return cases
 
 
+@functools.cache
 def wedge_identities_suite(cases: int = 100, seed: int = 107) -> int:
     scope = Scope(["x1", "x2", "x3", "x4"])
     rng = random.Random(seed)
@@ -120,6 +126,7 @@ def wedge_verdict(pf: PfaffSystem) -> bool:
     return pfaff_closure_check(pf, "wedge").closed
 
 
+@functools.cache
 def lemma_invariance_suite(cases: int = 100, seed: int = 109) -> int:
     """Nonsingular form recombination never changes the wedge verdict."""
     rng = random.Random(seed)
@@ -147,6 +154,7 @@ def lemma_invariance_suite(cases: int = 100, seed: int = 109) -> int:
     return done
 
 
+@functools.cache
 def closure_method_agreement_suite(cases: int = 100, seed: int = 113) -> int:
     """Wedge products and dual-operator completeness always agree."""
     rng = random.Random(seed)
@@ -159,6 +167,7 @@ def closure_method_agreement_suite(cases: int = 100, seed: int = 113) -> int:
     return done
 
 
+@functools.cache
 def rank_oracle_suite(cases: int = 100, seed: int = 127) -> int:
     scope = Scope(["x1", "x2", "x3"])
     rng = random.Random(seed)
@@ -269,6 +278,7 @@ def _conversions_of(system: System):
     return out
 
 
+@functools.cache
 def conversion_preserves_verification_suite() -> int:
     checked = 0
     for name, texts in sorted(FIXTURE_INTEGRALS.items()):
