@@ -31,10 +31,8 @@ from .systems import (
     SystemError,
     normal_pde_to_td,
     pde_normalize,
-    pfaff_contragredient,
     pfaff_to_td,
     td_defect_reduction,
-    td_to_pde,
     td_to_pfaff,
 )
 
@@ -150,17 +148,20 @@ def _cmd_verify(args) -> int:
 
 def _convert(system: System, target: str, pivots: list[str] | None):
     kind = system.kind
-    excluded: list[Expr] = []
+    if target == "pde" and kind != "pde":
+        pde, excluded = operator_family(system)
+        if pde is None:
+            raise CliError(
+                "a square Pfaff system has no operator family: "
+                "its coordinates are first integrals"
+            )
+        return System(kind="pde", pde=pde), excluded
     if kind == "td":
         td = system.td
-        if target == "pde":
-            return System(kind="pde", pde=td_to_pde(td, "nonautonomous")), []
         if target == "pfaff":
             return System(kind="pfaff", pfaff=td_to_pfaff(td)), []
         if target == "normal":
-            pde, excluded = pde_normalize(
-                td_to_pde(td, "nonautonomous"), pivots=pivots
-            )
+            pde, excluded = pde_normalize(operator_family(system)[0], pivots=pivots)
             return System(kind="pde", pde=pde), excluded
         if target == "td":
             reduced, excluded = td_defect_reduction(td)
@@ -182,12 +183,6 @@ def _convert(system: System, target: str, pivots: list[str] | None):
         if target == "td":
             td, excluded = pfaff_to_td(pf, pivot_cols=pivots)
             return System(kind="td", td=td), excluded
-        if target == "pde":
-            contragredient = pfaff_contragredient(pf)
-            return (
-                System(kind="pde", pde=contragredient.pde),
-                contragredient.excluded,
-            )
     raise CliError(f"cannot convert a {kind} system to {target!r}")
 
 
@@ -210,13 +205,15 @@ def _cmd_convert(args) -> int:
 
 def _cmd_complete(args) -> int:
     system = _load_system(args.input)
-    pde, _ = operator_family(system)
+    pde, family_excluded = operator_family(system)
     if pde is None:  # a square Pfaff system is complete as it stands
         added, excluded, capped = [], [], False
         completed = System(kind=system.kind, pfaff=system.pfaff, name=system.name)
     else:
         closure = bracket_closure(pde, max_generators=args.max_generators)
-        added, excluded, capped = closure.added, closure.excluded, closure.capped
+        added, capped = closure.added, closure.capped
+        # the contragredient's frame pivots are divided by, as in analyze
+        excluded = merge_locus(list(family_excluded), closure.excluded)
         completed = System(kind="pde", pde=closure.completed, name=system.name)
     payload = {
         "kind": system.kind,

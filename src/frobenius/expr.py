@@ -6,11 +6,19 @@ Every constructor and arithmetic operation re-canonicalizes, so structural
 equality of the stored numerator/denominator decides mathematical equality
 (within the supported class) and ``is_zero`` is a plain syntactic check.
 
+Storage: the numerator and denominator are sympy expression trees, which
+``==``, ``hash`` and printing read.  Arithmetic runs on sparse polynomials
+(``PolyElement``) in the grlex ring over QQ on the operands' generators, one
+ring per generator tuple.  Each expression memoizes its parts as elements of
+one such ring; a part without a memo is read back with ``ring.from_expr``,
+which expands whatever tree it is given.  The canonical tail (cancel, then
+normalize the denominator) runs on ring elements for every operation, with or
+without kernels.
+
 Canonical form invariants:
 
 * numerator and denominator are coprime polynomials over Q, each stored
-  as an expanded sum of monomials (``Poly.as_expr()`` output), so it can be
-  read back into a ``Poly`` with ``expand=False``;
+  as an expanded sum of monomials (``PolyElement.as_expr()`` output);
 * the denominator is primitive with integer coefficients and its leading
   coefficient (graded lexicographic, declared variable order, kernels last)
   is positive, so a rational constant p/q is stored as ``(p/q, 1)``, whichever
@@ -30,6 +38,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 import sympy as sm
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import grlex
+from sympy.polys.rings import PolyElement, PolyRing
 
 __all__ = [
     "Scope",
@@ -235,28 +246,19 @@ def _merge_kernel_monomials(poly: sm.Expr, scope: Scope) -> sm.Expr:
     return sm.expand(sm.Add(*terms_out))
 
 
-def _stored_poly(part: sm.Expr, gens: Sequence[sm.Symbol]) -> sm.Poly:
-    """Read a stored numerator or denominator back into a Poly over gens."""
-    try:
-        return sm.Poly(part, *gens, domain="QQ", expand=False)
-    except sm.PolynomialError:
-        # not an expanded sum of monomials after all: expand rather than fail
-        return sm.Poly(part, *gens, domain="QQ")
+_RINGS: dict[tuple[sm.Symbol, ...], PolyRing] = {}
+
+
+def _ring(gens: tuple[sm.Symbol, ...]) -> PolyRing:
+    """The grlex polynomial ring over QQ on gens, so ``LC`` leads in grlex."""
+    ring = _RINGS.get(gens)
+    if ring is None:
+        ring = _RINGS.setdefault(gens, PolyRing(gens, QQ, grlex))
+    return ring
 
 
 def _grlex_key(exponents: tuple[int, ...]) -> tuple:
     return (sum(exponents), exponents)
-
-
-def _grlex_leading(poly: sm.Poly) -> sm.Rational:
-    best = max(poly.terms(), key=lambda t: _grlex_key(t[0]))
-    return best[1]
-
-
-def _leading_coeff(poly: sm.Expr, gens: Sequence[sm.Symbol]) -> sm.Rational:
-    if not gens:
-        return sm.Rational(poly)
-    return _grlex_leading(sm.Poly(poly, *gens, domain="QQ"))
 
 
 class Expr:
@@ -279,51 +281,46 @@ class Expr:
         self._poly_memo = None
         return self
 
-    def _polys(self, gens: tuple[sm.Symbol, ...]) -> tuple[sm.Poly, sm.Poly]:
-        """Numerator and denominator as Polys over gens, memoized per gens."""
+    def _polys(self, gens: tuple[sm.Symbol, ...]) -> tuple[PolyElement, PolyElement]:
+        """Numerator and denominator in the ring over gens, memoized per ring."""
         memo = self._poly_memo
-        if memo is not None and memo[0] == gens:
-            return memo[1], memo[2]
-        num = _stored_poly(self._num, gens)
-        den = _stored_poly(self._den, gens)
-        self._poly_memo = (gens, num, den)
-        return num, den
+        if memo is not None and memo[0].ring.symbols == gens:
+            return memo
+        ring = _ring(gens)
+        memo = self._poly_memo = (ring.from_expr(self._num), ring.from_expr(self._den))
+        return memo
 
     def _joint_polys(
         self, other: "Expr"
-    ) -> tuple[tuple[sm.Poly, sm.Poly], tuple[sm.Poly, sm.Poly]] | None:
+    ) -> tuple[tuple[PolyElement, PolyElement], tuple[PolyElement, PolyElement]] | None:
         """Both operands' parts over their joint generators.
 
         None when the operands are constants or either holds an exp kernel;
         those take the expression-tree path through ``_canonical``.
         """
-        gens = tuple(
-            self._gens_for(
-                self._scope, self._num, self._den, other._num, other._den
-            )
+        gens = self._gens_for(
+            self._scope, self._num, self._den, other._num, other._den
         )
         if not gens or _KERNELS.is_kernel(gens[-1]):
             return None
         return self._polys(gens), other._polys(gens)
 
     @classmethod
-    def _from_polys(cls, scope: Scope, num: sm.Poly, den: sm.Poly) -> "Expr":
+    def _from_polys(cls, scope: Scope, num: PolyElement, den: PolyElement) -> "Expr":
         """Cancel num/den and normalize the denominator (the canonical tail)."""
-        if den.is_zero:
+        if not den:
             raise ExprError("zero denominator")
-        if num.is_zero:
+        if not num:
             return cls._make(scope, sm.Integer(0), sm.Integer(1))
-        num, den = num.cancel(den, include=True)
-        # scale so the denominator is integer, primitive, leading-positive
-        _, den_clear = den.clear_denoms()
-        _, den_prim = den_clear.primitive()
-        scale = sm.Rational(den.coeffs()[0]) / sm.Rational(den_prim.coeffs()[0])
-        if _grlex_leading(den_prim) < 0:
-            den_prim = -den_prim
-            scale = -scale
-        num = num.mul_ground(1 / scale)
-        result = cls._make(scope, num.as_expr(), den_prim.as_expr())
-        result._poly_memo = (num.gens, num, den_prim)
+        # cancel leaves the denominator's (grlex) leading coefficient positive;
+        # over QQ the content is gcd(numerators)/lcm(denominators), so dividing
+        # by it leaves an integer, primitive denominator
+        num, den = num.cancel(den)
+        content = den.content()
+        num = num.quo_ground(content)
+        den = den.quo_ground(content)
+        result = cls._make(scope, num.as_expr(), den.as_expr())
+        result._poly_memo = (num, den)
         return result
 
     @classmethod
@@ -336,10 +333,10 @@ class Expr:
         gens = cls._gens_for(scope, num, den)
         if not gens:
             return cls._make(scope, sm.Rational(num) / sm.Rational(den), sm.Integer(1))
+        ring = _ring(gens)
         try:
-            num_poly = sm.Poly(num, *gens, domain="QQ")
-            den_poly = sm.Poly(den, *gens, domain="QQ")
-        except sm.PolynomialError:
+            num_poly, den_poly = ring.from_expr(num), ring.from_expr(den)
+        except ValueError:
             # rational subtrees (e.g. kernel chain rule): flatten to one
             # fraction with polynomial numerator and denominator, re-merge
             num, den = sm.fraction(sm.together(num / den))
@@ -353,8 +350,8 @@ class Expr:
                 return cls._make(
                     scope, sm.Rational(num) / sm.Rational(den), sm.Integer(1)
                 )
-            num_poly = sm.Poly(num, *gens, domain="QQ")
-            den_poly = sm.Poly(den, *gens, domain="QQ")
+            ring = _ring(gens)
+            num_poly, den_poly = ring.from_expr(num), ring.from_expr(den)
         return cls._from_polys(scope, num_poly, den_poly)
 
     @staticmethod
@@ -389,7 +386,7 @@ class Expr:
         return den, inverse
 
     @classmethod
-    def _gens_for(cls, scope: Scope, *polys: sm.Expr) -> list[sm.Symbol]:
+    def _gens_for(cls, scope: Scope, *polys: sm.Expr) -> tuple[sm.Symbol, ...]:
         free: set[sm.Symbol] = set()
         for p in polys:
             free |= p.free_symbols
@@ -400,7 +397,7 @@ class Expr:
         stray = free - set(base) - set(kernels)
         if stray:
             raise ExprError(f"symbols {stray} not declared in {scope!r}")
-        return base + kernels
+        return tuple(base + kernels)
 
     # -- basic protocol --------------------------------------------------
 
@@ -423,8 +420,9 @@ class Expr:
         The denominator leads positive, so this orients the whole expression;
         zero counts as negative.
         """
-        gens = self._gens_for(self._scope, self._num)
-        return 1 if _leading_coeff(self._num, gens) > 0 else -1
+        gens = self._gens_for(self._scope, self._num, self._den)
+        lead = self._polys(gens)[0].LC if gens else self._num
+        return 1 if lead > 0 else -1
 
     def has_kernels(self) -> bool:
         return bool(_kernel_symbols(self._num) or _kernel_symbols(self._den))
@@ -497,8 +495,8 @@ class Expr:
     def __neg__(self) -> "Expr":
         result = Expr._make(self._scope, sm.expand(-self._num), self._den)
         if self._poly_memo is not None:
-            gens, num, den = self._poly_memo
-            result._poly_memo = (gens, -num, den)
+            num, den = self._poly_memo
+            result._poly_memo = (-num, den)
         return result
 
     def __sub__(self, other) -> "Expr":
@@ -522,7 +520,7 @@ class Expr:
                 # a product of polynomials is already canonical
                 product = a_num * b_num
                 result = Expr._make(self._scope, product.as_expr(), sm.Integer(1))
-                result._poly_memo = (product.gens, product, a_den)
+                result._poly_memo = (product, a_den)
                 return result
             return Expr._from_polys(self._scope, a_num * b_num, a_den * b_den)
         if self._den == 1 and other._den == 1:
@@ -569,17 +567,18 @@ class Expr:
     def diff(self, var: str) -> "Expr":
         """Exact partial derivative; kernels follow the chain rule."""
         symbol = self._scope.symbol(var)
-        gens = tuple(self._gens_for(self._scope, self._num, self._den))
+        gens = self._gens_for(self._scope, self._num, self._den)
         if gens and not _KERNELS.is_kernel(gens[-1]):
             if symbol not in gens:
                 return self._scope.zero
             num, den = self._polys(gens)
-            num_d = num.diff(symbol)
+            index = gens.index(symbol)
+            num_d = num.diff(index)
             if den.is_one and num_d.is_ground:
                 # the quotient rule collapses to a number: store it as const does
                 return self._scope.const(num_d.as_expr())
             return Expr._from_polys(
-                self._scope, num_d * den - num * den.diff(symbol), den * den
+                self._scope, num_d * den - num * den.diff(index), den * den
             )
         num_d = self._part_diff(self._num, symbol)
         den_d = self._part_diff(self._den, symbol)

@@ -216,18 +216,18 @@ def echelon(
 
 def _exact_poly_div(a: Expr, b: Expr) -> Expr:
     """Quotient of two polynomial expressions known to divide exactly."""
-    scope = a.scope
     if b.is_one():
         return a
-    gens = Expr._gens_for(scope, a._num, b._num)
-    if not gens:
+    polys = a._joint_polys(b)
+    if polys is None:
         return a / b
-    quotient, remainder = sm.Poly(a._num, *gens, domain="QQ").div(
-        sm.Poly(b._num, *gens, domain="QQ")
-    )
-    if not remainder.is_zero:
+    (a_num, _), (b_num, _) = polys
+    quotient, remainder = a_num.div(b_num)
+    if remainder:
         raise LinalgError("fraction-free elimination lost exact divisibility")
-    return Expr._make(scope, quotient.as_expr(), sm.Integer(1))
+    result = Expr._make(a.scope, quotient.as_expr(), sm.Integer(1))
+    result._poly_memo = (quotient, quotient.ring.one)
+    return result
 
 
 def rank_echelon(matrix: ExprMatrix) -> Echelon:
@@ -292,10 +292,11 @@ def _gcd_expr(a: Expr, b: Expr) -> Expr:
     scope = a.scope
     if a.is_one() or b.is_one():
         return scope.one
-    gens = Expr._gens_for(scope, a._num, b._num)
-    if not gens:
+    polys = a._joint_polys(b)
+    if polys is None:
         return scope.one
-    g = sm.Poly(a._num, *gens, domain="QQ").gcd(sm.Poly(b._num, *gens, domain="QQ"))
+    (a_num, _), (b_num, _) = polys
+    g = a_num.gcd(b_num)
     return Expr._make(scope, g.as_expr(), sm.Integer(1))
 
 

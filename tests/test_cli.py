@@ -130,6 +130,22 @@ class TestConvert:
         assert again.returncode == 0
         assert json.loads(again.stdout)["kind"] == "pfaff"
 
+    def test_pfaff_to_pde_is_the_contragredient(self):
+        result = run_cli(
+            "convert", str(FIXTURES / "ex_4_6.dsys"), "--to", "pde", "--json"
+        )
+        assert result.returncode == 0
+        payload = json.loads(result.stdout)
+        assert payload["kind"] == "pde"
+        assert payload["metadata"]["excluded_locus"] == ["y", "z"]
+
+    def test_square_pfaff_has_no_pde_family(self):
+        result = run_cli("convert", str(FIXTURES / "ex_4_2.dsys"), "--to", "pde")
+        assert result.returncode == 2
+        assert "square Pfaff system has no operator family" in result.stderr
+        assert "its coordinates are first integrals" in result.stderr
+        assert "contragredient" not in result.stderr
+
     def test_json_mode_carries_metadata(self):
         result = run_cli(
             "convert",
@@ -191,6 +207,14 @@ class TestCompleteAndBracket:
         assert payload["added_generators"] == [] and payload["excluded_locus"] == []
         assert payload["system"]["kind"] == "pfaff"
         assert payload["system"]["entries"][2] == "d(x1) + d(x2) + (x2 + 2)*d(x3)"
+
+    def test_complete_pfaff_reports_the_contragredient_locus(self):
+        completed = run_cli("complete", str(FIXTURES / "ex_4_6.dsys"), "--json")
+        analyzed = run_cli("analyze", str(FIXTURES / "ex_4_6.dsys"), "--json")
+        assert completed.returncode == 0 and analyzed.returncode == 0
+        locus = json.loads(completed.stdout)["excluded_locus"]
+        assert locus == ["y", "z"]
+        assert locus == json.loads(analyzed.stdout)["excluded_locus"]
 
     def test_bracket_square_pfaff(self):
         result = run_cli("bracket", str(FIXTURES / "ex_4_2.dsys"), "--json")
