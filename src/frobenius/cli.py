@@ -212,7 +212,7 @@ def _cmd_complete(args) -> int:
     else:
         closure = bracket_closure(pde, max_generators=args.max_generators)
         added, capped = closure.added, closure.capped
-        # the contragredient's frame pivots are divided by, as in analyze
+        # the completed operators divide by the contragredient's frame pivots
         excluded = merge_locus(list(family_excluded), closure.excluded)
         completed = System(kind="pde", pde=closure.completed, name=system.name)
     payload = {

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobenius.expr import EvalError, Expr, ParseError, Point, Scope, _ring
-
 from frobenius.exterior import VectorField
 from frobenius.linalg import ExprMatrix, SpanSolver
 
@@ -278,9 +277,6 @@ class TestPolynomialPath:
         }
         if not b.is_zero():
             cases["/"] = (a / b, a._num * b._den, a._den * b._num)
-        if a._den == 1 and b._den == 1:
-            # sums of polynomials take the sympy Add shortcut, not Polys
-            del cases["+"], cases["-"]
         return cases
 
     def test_matches_tree_canonicalisation(self):
@@ -292,6 +288,8 @@ class TestPolynomialPath:
             b = random_rational_expr(rng, scope, 4)
             var = rng.choice(scope.names)
             for op, (result, num, den) in self._tree_cases(a, b, var).items():
+                if op in ("+", "-") and a._den == 1 and b._den == 1:
+                    continue  # sums of polynomials take the sympy Add shortcut
                 tree = Expr._canonical(scope, num, den)
                 assert (result._num, result._den) == (tree._num, tree._den), op
                 assert result.print() == tree.print(), op
@@ -327,19 +325,7 @@ class TestPolynomialPath:
             a = random_rational_expr(rng, scope, 4)
             b = random_rational_expr(rng, scope, 4)
             var = rng.choice(scope.names)
-            cases = {
-                "+": (a + b, a._num * b._den + b._num * a._den, a._den * b._den),
-                "-": (a - b, a._num * b._den - b._num * a._den, a._den * b._den),
-                "*": (a * b, a._num * b._num, a._den * b._den),
-                "diff": (
-                    a.diff(var),
-                    sm.diff(a._num, var) * a._den - a._num * sm.diff(a._den, var),
-                    a._den * a._den,
-                ),
-            }
-            if not b.is_zero():
-                cases["/"] = (a / b, a._num * b._den, a._den * b._num)
-            for op, (result, num, den) in cases.items():
+            for op, (result, num, den) in self._tree_cases(a, b, var).items():
                 assert not sm.gcd(result._num, result._den).free_symbols, op
                 den_poly = sm.Poly(result._den, *gens, domain="QQ")
                 coeffs = den_poly.coeffs()
