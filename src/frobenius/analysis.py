@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import sympy as sm
-
 from .expr import Expr, EvalError, Point, Scope
 from .exterior import KForm, VectorField, differential
 from .linalg import (
@@ -293,7 +291,11 @@ def dimension_from_defect(system: System, defect: int) -> tuple[int, str]:
 
 
 def integral_basis_dimension(system: System) -> tuple[int, str]:
-    """Dimension of the basis of first integrals, with a derivation note."""
+    """Dimension of the basis of first integrals, with a derivation note.
+
+    Runs a fresh bracket closure of the system's operator family; it does
+    not reuse the closure that ``analyze`` runs.
+    """
     family, _ = operator_family(system)
     defect = bracket_closure(family).defect if family is not None else 0
     return dimension_from_defect(system, defect)
@@ -383,9 +385,7 @@ def _nonzero_witness(
 ) -> tuple[Point | None, str | None]:
     """A sample point where some residual provably does not vanish."""
     nonzero = [r for r in residuals if not r.is_zero()]
-    avoid = merge_locus(
-        [], (Expr._canonical(scope, r._den, sm.Integer(1)) for r in nonzero)
-    )
+    avoid = merge_locus([], (r.denominator() for r in nonzero))
     import mpmath
 
     for attempt in range(8):
@@ -494,11 +494,7 @@ def pfaff_closure_check(pf: PfaffSystem, method: str = "both") -> ClosureCheck:
 
 @dataclass
 class AnalysisReport:
-    """Machine-readable verdict for one system.
-
-    timing_seconds is informational only and never serialized: identical
-    invocations must produce byte-identical JSON.
-    """
+    """Machine-readable verdict for one system."""
 
     kind: str
     variables: list[str]
@@ -515,7 +511,6 @@ class AnalysisReport:
     seed: int
     warnings: list[str] = field(default_factory=list)
     witness: str | None = None
-    timing_seconds: float = 0.0
 
 
 def analyze(
@@ -526,9 +521,6 @@ def analyze(
     max_generators: int | None = None,
 ) -> AnalysisReport:
     """Run the kind-appropriate battery and aggregate certified results."""
-    import time
-
-    started = time.perf_counter()
     excluded: list[Expr] = list(system.excluded_locus)
     warnings = list(system.warnings)
     witness = None
@@ -601,7 +593,6 @@ def analyze(
         seed=seed,
         warnings=warnings,
         witness=witness,
-        timing_seconds=time.perf_counter() - started,
     )
 
 

@@ -6,19 +6,22 @@ Every constructor and arithmetic operation re-canonicalizes, so structural
 equality of the stored numerator/denominator decides mathematical equality
 (within the supported class) and ``is_zero`` is a plain syntactic check.
 
-Storage: the numerator and denominator are sympy expression trees, which
-``==``, ``hash`` and printing read.  Arithmetic runs on sparse polynomials
-(``PolyElement``) in the grlex ring over QQ on the operands' generators, one
-ring per generator tuple.  Each expression memoizes its parts as elements of
-one such ring; a part without a memo is read back with ``ring.from_expr``,
-which expands whatever tree it is given.  The canonical tail (cancel, then
-normalize the denominator) runs on ring elements for every operation, with or
-without kernels.
+Storage: a kernel-free expression stores its numerator and denominator as
+sparse polynomials (``PolyElement``) of its scope's ring, the grlex ring over
+QQ on all declared variables (``Scope.ring``).  ``==``, ``hash``, printing
+and arithmetic read these ring elements; sympy expression trees of the parts
+are built only on demand, for the consumers that need trees (the kernel path,
+locus factoring, evaluation, substitution, lifting and kernel interning).  An
+expression that holds an exp kernel stores sympy trees; its arithmetic reads
+them into a grlex ring on the declared variables it uses plus its kernels,
+ordered last.  The canonical tail (cancel, then normalize the denominator)
+runs on ring elements for every operation, with or without kernels, and a
+result in which no kernel survives is stored in ring form.
 
 Canonical form invariants:
 
-* numerator and denominator are coprime polynomials over Q, each stored
-  as an expanded sum of monomials (``PolyElement.as_expr()`` output);
+* numerator and denominator are coprime polynomials over Q (kernel-bearing
+  parts as expanded sums of monomials, ``PolyElement.as_expr()`` output);
 * the denominator is primitive with integer coefficients and its leading
   coefficient (graded lexicographic, declared variable order, kernels last)
   is positive, so a rational constant p/q is stored as ``(p/q, 1)``, whichever
@@ -40,6 +43,7 @@ from typing import Iterable, Mapping, Sequence, Union
 import sympy as sm
 from sympy.polys.domains import QQ
 from sympy.polys.orderings import grlex
+from sympy.polys.polyerrors import HeuristicGCDFailed
 from sympy.polys.rings import PolyElement, PolyRing
 
 __all__ = [
@@ -79,13 +83,16 @@ class _KernelTable:
 
     Shared so that equal arguments get one symbol across scopes; guarded by a
     lock since interning is the only mutation in the whole expression layer.
+    Kernels are ordered by their argument's printed canonical form, so the
+    order (and every output that depends on it) does not depend on which
+    kernels a process happened to intern first.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._by_arg: dict[tuple[sm.Expr, sm.Expr], sm.Symbol] = {}
         self._args: dict[sm.Symbol, "Expr"] = {}
-        self._order: dict[sm.Symbol, int] = {}
+        self._rank: dict[sm.Symbol, str] = {}
 
     def intern(self, argument: "Expr") -> sm.Symbol:
         if argument.has_kernels():
@@ -97,14 +104,14 @@ class _KernelTable:
                 symbol = sm.Symbol(f"_e{len(self._by_arg)}")
                 self._by_arg[key] = symbol
                 self._args[symbol] = argument
-                self._order[symbol] = len(self._order)
+                self._rank[symbol] = argument.print()
             return symbol
 
     def argument(self, symbol: sm.Symbol) -> "Expr":
         return self._args[symbol]
 
-    def rank(self, symbol: sm.Symbol) -> int:
-        return self._order[symbol]
+    def rank(self, symbol: sm.Symbol) -> str:
+        return self._rank[symbol]
 
     def is_kernel(self, symbol: sm.Symbol) -> bool:
         return symbol in self._args
@@ -114,7 +121,12 @@ _KERNELS = _KernelTable()
 
 
 class Scope:
-    """An ordered set of declared variable names."""
+    """An ordered set of declared variable names.
+
+    ``ring`` is the grlex polynomial ring over QQ on the declared variables,
+    in declared order; every kernel-free expression of the scope stores its
+    numerator and denominator as elements of it.
+    """
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
@@ -129,6 +141,7 @@ class Scope:
             seen.add(name)
         self._names = names
         self._symbols = {n: sm.Symbol(n) for n in names}
+        self.ring = _ring(tuple(self._symbols.values()))
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -159,18 +172,20 @@ class Scope:
         return self._names.index(name)
 
     def var(self, name: str) -> "Expr":
-        return Expr._make(self, self.symbol(name), sm.Integer(1))
+        self.symbol(name)
+        return Expr._of(self, self.ring.gens[self.index(name)], self.ring.one)
 
     def const(self, value: Rat) -> "Expr":
-        return Expr._make(self, sm.Rational(value), sm.Integer(1))
+        ground = self.ring.ground_new(QQ.from_sympy(sm.Rational(value)))
+        return Expr._of(self, ground, self.ring.one)
 
     @property
     def zero(self) -> "Expr":
-        return self.const(0)
+        return Expr._of(self, self.ring.zero, self.ring.one)
 
     @property
     def one(self) -> "Expr":
-        return self.const(1)
+        return Expr._of(self, self.ring.one, self.ring.one)
 
     def exp(self, argument: "Expr") -> "Expr":
         """The kernel exp(argument); merges with existing equal arguments."""
@@ -179,7 +194,7 @@ class Scope:
         if argument.is_zero():
             return self.one
         symbol = _KERNELS.intern(argument)
-        return Expr._make(self, symbol, sm.Integer(1))
+        return Expr._of_trees(self, symbol, sm.Integer(1))
 
     def parse(self, text: str) -> "Expr":
         return _Parser(text, self).parse()
@@ -257,14 +272,47 @@ def _ring(gens: tuple[sm.Symbol, ...]) -> PolyRing:
     return ring
 
 
-def _grlex_key(exponents: tuple[int, ...]) -> tuple:
-    return (sum(exponents), exponents)
+def _cofactors(
+    f: PolyElement, g: PolyElement
+) -> tuple[PolyElement, PolyElement, PolyElement]:
+    """``(h, f/h, g/h)`` with h = gcd(f, g), as ``PolyElement.cofactors``.
+
+    sympy's sparse gcd over ZZ is the heuristic ``heugcd`` alone, which
+    raises ``HeuristicGCDFailed`` on unlucky inputs; then this falls back to
+    the dense gcd, which has a PRS fallback of its own, and makes h monic in
+    the ring's (grlex) order as the sparse gcd over QQ does.
+    """
+    try:
+        return f.cofactors(g)
+    except HeuristicGCDFailed:
+        h, cff, cfg = f.ring.dmp_inner_gcd(f, g)
+        lead = h.LC
+        return h.monic(), cff.mul_ground(lead), cfg.mul_ground(lead)
+
+
+def _grlex_term_key(term: tuple[tuple[int, ...], object]) -> tuple:
+    return (sum(term[0]), term[0])
+
+
+def _tree_terms(poly: sm.Expr, gens: Sequence[sm.Symbol]) -> list[tuple]:
+    """(exponents, coefficient) pairs of an expanded polynomial tree."""
+    index = {g: i for i, g in enumerate(gens)}
+    terms = []
+    for term in sm.Add.make_args(poly):
+        coeff, monomial = term.as_coeff_Mul()
+        exponents = [0] * len(gens)
+        if monomial != 1:
+            for factor in sm.Mul.make_args(monomial):
+                base, power = factor.as_base_exp()
+                exponents[index[base]] = int(power)
+        terms.append((tuple(exponents), coeff))
+    return terms
 
 
 class Expr:
     """Immutable exact expression in canonical fractional form."""
 
-    __slots__ = ("_scope", "_num", "_den", "_print_memo", "_poly_memo")
+    __slots__ = ("_scope", "_p", "_q", "_trees", "_print_memo")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use Scope.parse/var/const or arithmetic to build Expr")
@@ -272,56 +320,78 @@ class Expr:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def _make(cls, scope: Scope, num: sm.Expr, den: sm.Expr) -> "Expr":
+    def _of(cls, scope: Scope, p: PolyElement, q: PolyElement) -> "Expr":
+        """A kernel-free expression from canonical elements of ``scope.ring``."""
         self = object.__new__(cls)
         self._scope = scope
-        self._num = num
-        self._den = den
+        self._p = p
+        self._q = q
+        self._trees = None
         self._print_memo = None
-        self._poly_memo = None
         return self
 
-    def _polys(self, gens: tuple[sm.Symbol, ...]) -> tuple[PolyElement, PolyElement]:
-        """Numerator and denominator in the ring over gens, memoized per ring."""
-        memo = self._poly_memo
-        if memo is not None and memo[0].ring.symbols == gens:
-            return memo
-        ring = _ring(gens)
-        memo = self._poly_memo = (ring.from_expr(self._num), ring.from_expr(self._den))
-        return memo
+    @classmethod
+    def _of_trees(cls, scope: Scope, num: sm.Expr, den: sm.Expr) -> "Expr":
+        """A kernel-bearing expression from canonical trees."""
+        self = object.__new__(cls)
+        self._scope = scope
+        self._p = self._q = None
+        self._trees = (num, den)
+        self._print_memo = None
+        return self
 
-    def _joint_polys(
-        self, other: "Expr"
-    ) -> tuple[tuple[PolyElement, PolyElement], tuple[PolyElement, PolyElement]] | None:
-        """Both operands' parts over their joint generators.
+    @classmethod
+    def _make(cls, scope: Scope, num: sm.Expr, den: sm.Expr) -> "Expr":
+        """An expression from trees already in canonical form."""
+        if _kernel_symbols(num) or _kernel_symbols(den):
+            return cls._of_trees(scope, num, den)
+        return cls._of(scope, scope.ring.from_expr(num), scope.ring.from_expr(den))
 
-        None when the operands are constants or either holds an exp kernel;
-        those take the expression-tree path through ``_canonical``.
-        """
-        gens = self._gens_for(
-            self._scope, self._num, self._den, other._num, other._den
-        )
-        if not gens or _KERNELS.is_kernel(gens[-1]):
-            return None
-        return self._polys(gens), other._polys(gens)
+    @property
+    def _num(self) -> sm.Expr:
+        return self._tree_parts()[0]
+
+    @property
+    def _den(self) -> sm.Expr:
+        return self._tree_parts()[1]
+
+    def _tree_parts(self) -> tuple[sm.Expr, sm.Expr]:
+        """Numerator and denominator trees, built on first use when kernel-free."""
+        trees = self._trees
+        if trees is None:
+            trees = self._trees = (self._p.as_expr(), self._q.as_expr())
+        return trees
 
     @classmethod
     def _from_polys(cls, scope: Scope, num: PolyElement, den: PolyElement) -> "Expr":
-        """Cancel num/den and normalize the denominator (the canonical tail)."""
+        """Cancel num/den and normalize the denominator (the canonical tail).
+
+        num and den belong to ``scope.ring``, or to a kernel ring (declared
+        variables, then kernels); a kernel-ring result whose kernels all
+        cancelled moves to ``scope.ring``.
+        """
         if not den:
             raise ExprError("zero denominator")
         if not num:
-            return cls._make(scope, sm.Integer(0), sm.Integer(1))
-        # cancel leaves the denominator's (grlex) leading coefficient positive;
+            return scope.zero
+        _, num, den = _cofactors(num, den)
         # over QQ the content is gcd(numerators)/lcm(denominators), so dividing
-        # by it leaves an integer, primitive denominator
-        num, den = num.cancel(den)
+        # by it leaves an integer, primitive denominator; its sign makes the
+        # grlex leading coefficient positive
         content = den.content()
+        if den.LC < 0:
+            content = -content
         num = num.quo_ground(content)
         den = den.quo_ground(content)
-        result = cls._make(scope, num.as_expr(), den.as_expr())
-        result._poly_memo = (num, den)
-        return result
+        ring = num.ring
+        if ring is not scope.ring:
+            first_kernel = next(
+                i for i, g in enumerate(ring.symbols) if _KERNELS.is_kernel(g)
+            )
+            if any(any(m[first_kernel:]) for part in (num, den) for m in part):
+                return cls._of_trees(scope, num.as_expr(), den.as_expr())
+            num, den = num.set_ring(scope.ring), den.set_ring(scope.ring)
+        return cls._of(scope, num, den)
 
     @classmethod
     def _canonical(cls, scope: Scope, num: sm.Expr, den: sm.Expr) -> "Expr":
@@ -330,10 +400,7 @@ class Expr:
         den, unit = cls._clear_kernel_unit(scope, den)
         if unit != 1:
             num = _merge_kernel_monomials(num * unit, scope)
-        gens = cls._gens_for(scope, num, den)
-        if not gens:
-            return cls._make(scope, sm.Rational(num) / sm.Rational(den), sm.Integer(1))
-        ring = _ring(gens)
+        ring = cls._ring_for(scope, num, den)
         try:
             num_poly, den_poly = ring.from_expr(num), ring.from_expr(den)
         except ValueError:
@@ -345,14 +412,17 @@ class Expr:
             den, unit = cls._clear_kernel_unit(scope, den)
             if unit != 1:
                 num = _merge_kernel_monomials(num * unit, scope)
-            gens = cls._gens_for(scope, num, den)
-            if not gens:
-                return cls._make(
-                    scope, sm.Rational(num) / sm.Rational(den), sm.Integer(1)
-                )
-            ring = _ring(gens)
+            ring = cls._ring_for(scope, num, den)
             num_poly, den_poly = ring.from_expr(num), ring.from_expr(den)
         return cls._from_polys(scope, num_poly, den_poly)
+
+    @classmethod
+    def _ring_for(cls, scope: Scope, num: sm.Expr, den: sm.Expr) -> PolyRing:
+        """``scope.ring``, or the kernel ring when a kernel occurs in the trees."""
+        gens = cls._gens_for(scope, num, den)
+        if gens and _KERNELS.is_kernel(gens[-1]):
+            return _ring(gens)
+        return scope.ring
 
     @staticmethod
     def _clear_kernel_unit(scope: Scope, den: sm.Expr) -> tuple[sm.Expr, sm.Expr]:
@@ -406,13 +476,13 @@ class Expr:
         return self._scope
 
     def is_zero(self) -> bool:
-        return self._num == 0
+        return self._p is not None and not self._p
 
     def is_one(self) -> bool:
-        return self._num == 1 and self._den == 1
+        return self._p is not None and self._p.is_one and self._q.is_one
 
     def is_constant(self) -> bool:
-        return not self._num.free_symbols and not self._den.free_symbols
+        return self._p is not None and self._p.is_ground and self._q.is_ground
 
     def leading_sign(self) -> int:
         """Sign of the numerator's grlex-leading coefficient (kernels last).
@@ -420,14 +490,30 @@ class Expr:
         The denominator leads positive, so this orients the whole expression;
         zero counts as negative.
         """
-        gens = self._gens_for(self._scope, self._num, self._den)
-        lead = self._polys(gens)[0].LC if gens else self._num
+        if self._p is not None:
+            lead = self._p.LC
+        else:
+            gens = self._gens_for(self._scope, self._num, self._den)
+            lead = max(_tree_terms(self._num, gens), key=_grlex_term_key)[1]
         return 1 if lead > 0 else -1
 
     def has_kernels(self) -> bool:
-        return bool(_kernel_symbols(self._num) or _kernel_symbols(self._den))
+        return self._p is None
+
+    def denominator(self) -> "Expr":
+        """The denominator, as a polynomial expression."""
+        if self._p is not None:
+            return Expr._of(self._scope, self._q, self._scope.ring.one)
+        return Expr._canonical(self._scope, self._den, sm.Integer(1))
 
     def variable_symbols(self) -> set[sm.Symbol]:
+        if self._p is not None:
+            monomials = list(self._p) + list(self._q)
+            return {
+                symbol
+                for symbol, column in zip(self._scope.ring.symbols, zip(*monomials))
+                if any(column)
+            }
         symbols: set[sm.Symbol] = set()
         for part in (self._num, self._den):
             for s in part.free_symbols:
@@ -443,14 +529,16 @@ class Expr:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Expr):
             return NotImplemented
-        return (
-            self._scope == other._scope
-            and self._num == other._num
-            and self._den == other._den
-        )
+        if self._scope != other._scope:
+            return False
+        if self._p is not None:
+            return other._p is not None and self._p == other._p and self._q == other._q
+        return other._p is None and self._trees == other._trees
 
     def __hash__(self) -> int:
-        return hash((self._scope, self._num, self._den))
+        if self._p is not None:
+            return hash((self._scope, self._p, self._q))
+        return hash((self._scope, self._trees))
 
     def __repr__(self) -> str:
         return f"Expr({self})"
@@ -472,18 +560,17 @@ class Expr:
             return other
         if other.is_zero():
             return self
+        if self._p is not None and other._p is not None:
+            p, q, r, s = self._p, self._q, other._p, other._q
+            if q.is_one and s.is_one:
+                return Expr._of(self._scope, p + r, q)
+            return Expr._from_polys(self._scope, p * s + r * q, q * s)
         if self._den == 1 and other._den == 1:
             # sums of expanded polynomials collect terms without expand
             num = self._num + other._num
             if num == 0:
                 return self._scope.zero
             return Expr._make(self._scope, num, sm.Integer(1))
-        polys = self._joint_polys(other)
-        if polys is not None:
-            (a_num, a_den), (b_num, b_den) = polys
-            return Expr._from_polys(
-                self._scope, a_num * b_den + b_num * a_den, a_den * b_den
-            )
         return Expr._canonical(
             self._scope,
             self._num * other._den + other._num * self._den,
@@ -493,11 +580,9 @@ class Expr:
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        result = Expr._make(self._scope, sm.expand(-self._num), self._den)
-        if self._poly_memo is not None:
-            num, den = self._poly_memo
-            result._poly_memo = (-num, den)
-        return result
+        if self._p is not None:
+            return Expr._of(self._scope, -self._p, self._q)
+        return Expr._of_trees(self._scope, sm.expand(-self._num), self._den)
 
     def __sub__(self, other) -> "Expr":
         return self + (-self._coerce(other))
@@ -513,16 +598,12 @@ class Expr:
             return other
         if other.is_one():
             return self
-        polys = self._joint_polys(other)
-        if polys is not None:
-            (a_num, a_den), (b_num, b_den) = polys
-            if self._den == 1 and other._den == 1:
+        if self._p is not None and other._p is not None:
+            p, q, r, s = self._p, self._q, other._p, other._q
+            if q.is_one and s.is_one:
                 # a product of polynomials is already canonical
-                product = a_num * b_num
-                result = Expr._make(self._scope, product.as_expr(), sm.Integer(1))
-                result._poly_memo = (product, a_den)
-                return result
-            return Expr._from_polys(self._scope, a_num * b_num, a_den * b_den)
+                return Expr._of(self._scope, p * r, q)
+            return Expr._from_polys(self._scope, p * r, q * s)
         if self._den == 1 and other._den == 1:
             num = _merge_kernel_monomials(
                 sm.expand(self._num * other._num), self._scope
@@ -542,10 +623,10 @@ class Expr:
             raise ExprError("division by zero expression")
         if self.is_zero() or other.is_one():
             return self
-        polys = self._joint_polys(other)
-        if polys is not None:
-            (a_num, a_den), (b_num, b_den) = polys
-            return Expr._from_polys(self._scope, a_num * b_den, a_den * b_num)
+        if self._p is not None and other._p is not None:
+            return Expr._from_polys(
+                self._scope, self._p * other._q, self._q * other._p
+            )
         return Expr._canonical(
             self._scope, self._num * other._den, self._den * other._num
         )
@@ -560,6 +641,10 @@ class Expr:
             return self._scope.one
         if exponent < 0:
             return self._scope.one / self ** (-exponent)
+        if self._p is not None:
+            # powers of coprime parts stay coprime, and by Gauss's lemma the
+            # denominator stays primitive with a positive leading coefficient
+            return Expr._of(self._scope, self._p**exponent, self._q**exponent)
         return Expr._canonical(self._scope, self._num**exponent, self._den**exponent)
 
     # -- calculus ----------------------------------------------------------
@@ -567,19 +652,15 @@ class Expr:
     def diff(self, var: str) -> "Expr":
         """Exact partial derivative; kernels follow the chain rule."""
         symbol = self._scope.symbol(var)
-        gens = self._gens_for(self._scope, self._num, self._den)
-        if gens and not _KERNELS.is_kernel(gens[-1]):
-            if symbol not in gens:
+        if self._p is not None:
+            index = self._scope.index(var)
+            p, q = self._p, self._q
+            if q.is_one:
+                return Expr._of(self._scope, p.diff(index), q)
+            num = p.diff(index) * q - p * q.diff(index)
+            if not num:
                 return self._scope.zero
-            num, den = self._polys(gens)
-            index = gens.index(symbol)
-            num_d = num.diff(index)
-            if den.is_one and num_d.is_ground:
-                # the quotient rule collapses to a number: store it as const does
-                return self._scope.const(num_d.as_expr())
-            return Expr._from_polys(
-                self._scope, num_d * den - num * den.diff(index), den * den
-            )
+            return Expr._from_polys(self._scope, num, q * q)
         num_d = self._part_diff(self._num, symbol)
         den_d = self._part_diff(self._den, symbol)
         return Expr._canonical(
@@ -675,67 +756,67 @@ class Expr:
     def print(self) -> str:
         if self._print_memo is not None:
             return self._print_memo
-        num = self._print_poly(self._num)
-        if self._den == 1:
-            text = num
+        if self._p is not None:
+            names = self._scope.names
+            parts = [(list(self._p.items()), names), (list(self._q.items()), names)]
         else:
-            if _is_sum(self._num):
-                num = f"({num})"
-            den = self._print_poly(self._den)
-            if _is_sum(self._den) or _is_product(self._den) or den.startswith("-"):
+            parts = [self._printable_terms(self._num), self._printable_terms(self._den)]
+        (num_terms, _), (den_terms, _) = parts
+        text = _print_terms(*parts[0])
+        if len(den_terms) > 1 or any(den_terms[0][0]):  # the denominator is not 1
+            if len(num_terms) > 1:
+                text = f"({text})"
+            den = _print_terms(*parts[1])
+            if len(den_terms) > 1 or _is_product(den_terms[0]) or den.startswith("-"):
                 den = f"({den})"
-            text = f"{num}/{den}"
+            text = f"{text}/{den}"
         self._print_memo = text
         return text
 
-    def _print_poly(self, poly: sm.Expr) -> str:
+    def _printable_terms(self, poly: sm.Expr) -> tuple[list[tuple], list[str]]:
+        """A kernel-bearing part's terms, and the printed name of each generator."""
         gens = self._gens_for(self._scope, poly)
-        if not gens:
-            return _print_rational(sm.Rational(poly))
-        index = {g: i for i, g in enumerate(gens)}
-        terms = []
-        for term in sm.Add.make_args(poly):
-            coeff, monomial = term.as_coeff_Mul()
-            exponents = [0] * len(gens)
-            if monomial != 1:
-                for factor in sm.Mul.make_args(monomial):
-                    base, power = factor.as_base_exp()
-                    exponents[index[base]] = int(power)
-            terms.append((tuple(exponents), sm.Rational(coeff)))
-        terms.sort(key=lambda t: _grlex_key(t[0]), reverse=True)
-        pieces: list[str] = []
-        for exponents, coeff in terms:
-            factors = []
-            for gen, power in zip(gens, exponents):
-                if power == 0:
-                    continue
-                if _KERNELS.is_kernel(gen):
-                    base = f"exp({_KERNELS.argument(gen).print()})"
-                else:
-                    base = str(gen)
-                factors.append(base if power == 1 else f"{base}^{power}")
-            magnitude = abs(coeff)
-            if not factors:
-                body = _print_rational(magnitude)
-            elif magnitude == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([_print_rational(magnitude)] + factors)
-            if not pieces:
-                if coeff > 0:
-                    pieces.append(body)
-                elif magnitude == 1 and factors and _top_level_caret(factors[0]):
-                    # unary minus binds before '^', so -x^2 would negate x only
-                    pieces.append(f"-1*{body}")
-                else:
-                    pieces.append(f"-{body}")
-            else:
-                pieces.append(f" + {body}" if coeff > 0 else f" - {body}")
-        return "".join(pieces)
+        names = [
+            f"exp({_KERNELS.argument(g).print()})" if _KERNELS.is_kernel(g) else str(g)
+            for g in gens
+        ]
+        return _tree_terms(poly, gens), names
 
 
-def _print_rational(value: sm.Rational) -> str:
-    return str(value.p) if value.q == 1 else f"{value.p}/{value.q}"
+def _print_terms(terms: list[tuple], names: Sequence[str]) -> str:
+    """Print (exponents, coefficient) pairs in descending grlex order."""
+    if not terms:
+        return "0"
+    pieces: list[str] = []
+    for exponents, coeff in sorted(terms, key=_grlex_term_key, reverse=True):
+        factors = [
+            name if power == 1 else f"{name}^{power}"
+            for name, power in zip(names, exponents)
+            if power
+        ]
+        magnitude = abs(coeff)
+        if not factors:
+            body = _print_rational(magnitude)
+        elif magnitude == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([_print_rational(magnitude)] + factors)
+        if not pieces:
+            if coeff > 0:
+                pieces.append(body)
+            elif magnitude == 1 and factors and _top_level_caret(factors[0]):
+                # unary minus binds before '^', so -x^2 would negate x only
+                pieces.append(f"-1*{body}")
+            else:
+                pieces.append(f"-{body}")
+        else:
+            pieces.append(f" + {body}" if coeff > 0 else f" - {body}")
+    return "".join(pieces)
+
+
+def _print_rational(value) -> str:
+    numerator, denominator = value.numerator, value.denominator
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
 
 
 def _top_level_caret(text: str) -> bool:
@@ -750,15 +831,11 @@ def _top_level_caret(text: str) -> bool:
     return False
 
 
-def _is_sum(poly: sm.Expr) -> bool:
-    return isinstance(poly, sm.Add)
-
-
-def _is_product(poly: sm.Expr) -> bool:
-    if isinstance(poly, sm.Mul):
-        return True
-    base, power = poly.as_base_exp()
-    return bool(power != 1 and power != 0)
+def _is_product(term: tuple) -> bool:
+    """Whether a one-term part prints as a product or a power."""
+    exponents, coeff = term
+    degree = sum(exponents)
+    return degree > 1 or (degree == 1 and coeff != 1)
 
 
 @dataclass(frozen=True)

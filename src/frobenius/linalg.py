@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import sympy as sm
 
-from .expr import Expr, ExprError, EvalError, Point, Scope
+from .expr import Expr, ExprError, EvalError, Point, Scope, _cofactors
 
 __all__ = [
     "ExprMatrix",
@@ -148,7 +148,7 @@ def _locus_factors(entry: Expr, into: list[Expr]) -> None:
             continue
         for factor, _ in sm.factor_list(part)[1]:
             expr = Expr._canonical(scope, sm.expand(factor), sm.Integer(1))
-            if expr._num.is_Symbol and expr.has_kernels():
+            if expr.has_kernels() and expr._num.is_Symbol:
                 continue  # bare exponential kernels never vanish
             merge_locus(into, [expr if expr.leading_sign() > 0 else -expr])
 
@@ -215,19 +215,13 @@ def echelon(
 
 
 def _exact_poly_div(a: Expr, b: Expr) -> Expr:
-    """Quotient of two polynomial expressions known to divide exactly."""
+    """Quotient of two kernel-free polynomials known to divide exactly."""
     if b.is_one():
         return a
-    polys = a._joint_polys(b)
-    if polys is None:
-        return a / b
-    (a_num, _), (b_num, _) = polys
-    quotient, remainder = a_num.div(b_num)
+    quotient, remainder = a._p.div(b._p)
     if remainder:
         raise LinalgError("fraction-free elimination lost exact divisibility")
-    result = Expr._make(a.scope, quotient.as_expr(), sm.Integer(1))
-    result._poly_memo = (quotient, quotient.ring.one)
-    return result
+    return Expr._of(a.scope, quotient, quotient.ring.one)
 
 
 def rank_echelon(matrix: ExprMatrix) -> Echelon:
@@ -246,8 +240,8 @@ def rank_echelon(matrix: ExprMatrix) -> Echelon:
             return echelon(matrix)
         common = scope.one
         for entry in row:
-            if entry._den != 1:
-                den = Expr._make(scope, entry._den, sm.Integer(1))
+            den = entry.denominator()
+            if not den.is_one():
                 common = common * den / _gcd_expr(common, den)
         work.append([entry * common for entry in row])
     free_rows = set(range(matrix.rows))
@@ -289,15 +283,11 @@ def rank_echelon(matrix: ExprMatrix) -> Echelon:
 
 
 def _gcd_expr(a: Expr, b: Expr) -> Expr:
+    """Monic gcd of two kernel-free polynomials."""
     scope = a.scope
     if a.is_one() or b.is_one():
         return scope.one
-    polys = a._joint_polys(b)
-    if polys is None:
-        return scope.one
-    (a_num, _), (b_num, _) = polys
-    g = a_num.gcd(b_num)
-    return Expr._make(scope, g.as_expr(), sm.Integer(1))
+    return Expr._of(scope, _cofactors(a._p, b._p)[0], scope.ring.one)
 
 
 def generic_rank(matrix: ExprMatrix) -> int:

@@ -84,6 +84,36 @@ class TestVerify:
         payload = json.loads(result.stdout)
         assert payload["integrals"][0]["multipliers"] == ["y*z^2"]
 
+    def test_kernel_order_does_not_depend_on_process_history(self):
+        """Kernels interned earlier in the process must not reorder output."""
+        script = (
+            "import sys\n"
+            "from frobenius.cli import main\n"
+            "from frobenius.expr import Scope\n"
+            "if sys.argv[1] == 'warm':\n"
+            "    scope = Scope(['x1', 'x2', 'x3'])\n"
+            "    scope.parse('exp(x3)')\n"
+            "    scope.parse('exp(x2)')\n"
+            "sys.exit(main(sys.argv[2:]))\n"
+        )
+        argv = [
+            "verify",
+            str(FIXTURES / "ex_1_3.dsys"),
+            "--json",
+            "--integral",
+            "exp(x2) + exp(x3)",
+        ]
+        fresh, warm = (
+            subprocess.run(
+                [sys.executable, "-c", script, mode, *argv],
+                capture_output=True,
+            )
+            for mode in ("fresh", "warm")
+        )
+        assert fresh.returncode == warm.returncode == 0
+        assert b'"exp(x2) + exp(x3)"' in fresh.stdout
+        assert warm.stdout == fresh.stdout
+
 
 class TestConvert:
     def test_pfaff_to_td_with_pivots(self):

@@ -10,9 +10,12 @@ import sympy as sm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frobenius.expr import EvalError, Expr, ParseError, Point, Scope, _ring
+from sympy.polys.polyerrors import HeuristicGCDFailed
+from sympy.polys.rings import PolyElement, PolyRing
+
+from frobenius.expr import EvalError, Expr, ParseError, Point, Scope
 from frobenius.exterior import VectorField
-from frobenius.linalg import ExprMatrix, SpanSolver
+from frobenius.linalg import ExprMatrix, SpanSolver, _gcd_expr
 
 from conftest import random_point, random_rational_expr
 
@@ -281,6 +284,7 @@ class TestPolynomialPath:
 
     def test_matches_tree_canonicalisation(self):
         scope = Scope(["x1", "x2", "x3", "x4"])
+        ring = scope.ring
         rng = random.Random(31)
         seen = set()
         for _ in range(80):
@@ -288,24 +292,20 @@ class TestPolynomialPath:
             b = random_rational_expr(rng, scope, 4)
             var = rng.choice(scope.names)
             for op, (result, num, den) in self._tree_cases(a, b, var).items():
-                if op in ("+", "-") and a._den == 1 and b._den == 1:
-                    continue  # sums of polynomials take the sympy Add shortcut
                 tree = Expr._canonical(scope, num, den)
+                assert result == tree, op
                 assert (result._num, result._den) == (tree._num, tree._den), op
                 assert result.print() == tree.print(), op
-                memo = result._poly_memo
-                if memo is not None:
-                    num_poly, den_poly = memo
-                    ring = num_poly.ring
-                    assert den_poly.ring is ring, op
-                    assert num_poly == ring.from_expr(result._num), op
-                    assert den_poly == ring.from_expr(result._den), op
-                    # and term by term as sympy's dense Poly reads the trees
-                    for part, poly in ((result._num, num_poly), (result._den, den_poly)):
-                        dense = sm.Poly(part, *ring.symbols, domain="QQ")
-                        assert {m: sm.Rational(c) for m, c in poly.items()} == {
-                            m: c for m, c in dense.terms() if c
-                        }, op
+                # kernel-free results hold elements of the scope's one ring,
+                # which agree with the lazily built trees as the sparse ring
+                # and, term by term, as sympy's dense Poly read them
+                assert result._p.ring is ring and result._q.ring is ring, op
+                for part, poly in ((result._num, result._p), (result._den, result._q)):
+                    assert poly == ring.from_expr(part), op
+                    dense = sm.Poly(part, *ring.symbols, domain="QQ")
+                    assert {m: sm.Rational(c) for m, c in poly.items()} == {
+                        m: c for m, c in dense.terms() if c
+                    }, op
                 if a._den != 1 or b._den != 1:
                     seen.add(op)
         assert seen == {"+", "-", "*", "/", "diff"}
@@ -336,19 +336,24 @@ class TestPolynomialPath:
                 seen.add(op)
         assert seen == {"+", "-", "*", "/", "diff"}
 
-    def test_kernel_free_work_builds_no_dense_poly(self, joint, monkeypatch):
-        """Falling back to sympy's dense Poly fails here, not in a timing."""
-        p = joint.parse
+    @staticmethod
+    def _two_fields_and_solver(scope):
+        p = scope.parse
         first = VectorField(
-            joint, {"t1": joint.one, "x1": p("x1/t1"), "x2": p("x2^2/(t1 + x3)")}
+            scope, {"t1": scope.one, "x1": p("x1/t1"), "x2": p("x2^2/(t1 + x3)")}
         )
         second = VectorField(
-            joint, {"t2": joint.one, "x1": p("(x3 - 1)/(t1*t2)"), "x3": p("x1*x2/t2")}
+            scope, {"t2": scope.one, "x1": p("(x3 - 1)/(t1*t2)"), "x3": p("x1*x2/t2")}
         )
-        # echelon's locus factoring (sm.factor_list) may build Polys: not counted
+        # echelon's locus factoring (sm.factor_list) reads trees: not counted
         solver = SpanSolver(
             ExprMatrix.from_rows([first.coefficient_row(), second.coefficient_row()])
         )
+        return first, second, solver
+
+    def test_kernel_free_work_builds_no_dense_poly(self, joint, monkeypatch):
+        """Falling back to sympy's dense Poly fails here, not in a timing."""
+        first, second, solver = self._two_fields_and_solver(joint)
         built = []
         new = sm.Poly.new.__func__
 
@@ -361,6 +366,58 @@ class TestPolynomialPath:
         certificate = solver.query(bracket.coefficient_row())
         assert not bracket.is_zero() and not certificate.member
         assert built == []
+
+    def test_kernel_free_work_reads_no_trees(self, joint, monkeypatch):
+        """Brackets, span queries and printing stay on ring elements."""
+        first, second, solver = self._two_fields_and_solver(joint)
+        calls = []
+        for owner, name in ((PolyRing, "from_expr"), (PolyElement, "as_expr")):
+            original = getattr(owner, name)
+
+            def counting(self, *args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(owner, name, counting)
+        bracket = first.bracket(second)
+        certificate = solver.query(bracket.coefficient_row())
+        printed = [e.print() for e in bracket.coefficient_row()]
+        printed.append(certificate.witness_minor.print())
+        assert not bracket.is_zero() and not certificate.member
+        assert all(printed)
+        assert calls == []
+
+    def test_heuristic_gcd_failure_falls_back_to_dense_gcd(self, joint, monkeypatch):
+        p = joint.parse
+        a = p("(x1^2 - x2^2)*(x3 + 2)/(t1*x1 + t1*x2)")
+        b = p("(x1 - x2)*(t2 - 1)/((x3 + 2)*(x1 + x2)^2)")
+        weighted = p("(x1 - x2)*exp(x3)")
+        common = p("3*(x1 + x2)^2*(x3 - 1)*(t1 + 1)")
+        other = p("(x1 + x2)*(x3 - 1)*(x1 - 3*t2)")
+
+        def results():
+            return [
+                a + b,
+                a * b,
+                a / b,
+                b.diff("x1"),
+                weighted / b,
+                _gcd_expr(common, other),
+            ]
+
+        expected = results()
+        failures = []
+
+        def failing(f, g):
+            failures.append((f, g))
+            raise HeuristicGCDFailed("no luck")
+
+        monkeypatch.setattr(PolyElement, "_gcd_ZZ", failing)
+        fallen_back = results()
+        assert failures
+        assert fallen_back == expected
+        assert [e.print() for e in fallen_back] == [e.print() for e in expected]
+        assert fallen_back[-1] == p("(x1 + x2)*(x3 - 1)")
 
     def test_kernel_operands_keep_tree_path(self, joint, monkeypatch):
         calls = []
@@ -391,10 +448,10 @@ class TestPolynomialPath:
         scope = Scope(["x1", "x2"])
         x, y = scope.symbol("x1"), scope.symbol("x2")
         unexpanded = Expr._make(scope, x * (x + y), sm.Integer(1))
-        num, den = unexpanded._polys((x, y))
-        assert num == _ring((x, y)).from_expr(x**2 + x * y)
-        assert num.as_expr() == x**2 + x * y and den == 1
+        assert unexpanded._p == scope.ring.from_expr(x**2 + x * y)
+        assert unexpanded._q == 1 and unexpanded._num == x**2 + x * y
         expanded = scope.parse("x1^2 + x1*x2")
+        assert unexpanded == expanded and hash(unexpanded) == hash(expanded)
         divisor = scope.parse("x2 + 1")
         assert unexpanded / divisor == expanded / divisor
         assert unexpanded.diff("x1") == expanded.diff("x1")
