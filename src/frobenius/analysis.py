@@ -29,7 +29,6 @@ from .linalg import (
     sample_points,
 )
 from .systems import (
-    Contragredient,
     PdeSystem,
     PfaffSystem,
     System,
@@ -426,7 +425,7 @@ class ClosureCheck:
     closed: bool
     method: str
     wedge_witness: tuple[int, KForm] | None = None
-    contragredient: Contragredient | None = None
+    family: PdeSystem | None = None  # the dual operators the check closed
     completeness: CompletenessResult | None = None
     excluded: list[Expr] = field(default_factory=list)
 
@@ -455,16 +454,16 @@ def pfaff_closure_check(pf: PfaffSystem, method: str = "both") -> ClosureCheck:
                 wedge_witness = (j, obstruction)
                 break
     contra_verdict = None
-    contragredient = None
+    family = None
     completeness = None
     excluded: list[Expr] = []
     if method in ("contragredient", "both"):
-        if pf.m == pf.n:
+        family, family_excluded = operator_family(System("pfaff", pfaff=pf))
+        if family is None:
             contra_verdict = True  # square case: coordinate integrals exist
         else:
-            contragredient = pfaff_contragredient(pf)
-            merge_locus(excluded, contragredient.excluded)
-            completeness = pde_completeness(contragredient.pde)
+            merge_locus(excluded, family_excluded)
+            completeness = pde_completeness(family)
             merge_locus(excluded, completeness.excluded)
             contra_verdict = completeness.complete
     if method == "wedge":
@@ -473,7 +472,7 @@ def pfaff_closure_check(pf: PfaffSystem, method: str = "both") -> ClosureCheck:
         return ClosureCheck(
             contra_verdict,
             method,
-            contragredient=contragredient,
+            family=family,
             completeness=completeness,
             excluded=excluded,
         )
@@ -486,7 +485,7 @@ def pfaff_closure_check(pf: PfaffSystem, method: str = "both") -> ClosureCheck:
         wedge_verdict,
         method,
         wedge_witness=wedge_witness,
-        contragredient=contragredient,
+        family=family,
         completeness=completeness,
         excluded=excluded,
     )
@@ -553,8 +552,7 @@ def analyze(
             witness = f"d({pf.names[j]}) wedge forms = {obstruction.print()}"
         elif check.completeness and check.completeness.witness_bracket is not None:
             witness = check.completeness.witness_bracket.print()
-        if check.contragredient is not None:  # its locus is in check.excluded
-            family = check.contragredient.pde
+        family = check.family  # its locus is in check.excluded
 
     if family is None:
         family, family_excluded = operator_family(system)

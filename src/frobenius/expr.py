@@ -6,30 +6,33 @@ Every constructor and arithmetic operation re-canonicalizes, so structural
 equality of the stored numerator/denominator decides mathematical equality
 (within the supported class) and ``is_zero`` is a plain syntactic check.
 
-Storage: a kernel-free expression stores its numerator and denominator as
-sparse polynomials (``PolyElement``) of its scope's ring, the grlex ring over
-QQ on all declared variables (``Scope.ring``).  ``==``, ``hash``, printing
-and arithmetic read these ring elements; sympy expression trees of the parts
-are built only on demand, for the consumers that need trees (the kernel path,
-locus factoring, evaluation, substitution, lifting and kernel interning).  An
-expression that holds an exp kernel stores sympy trees; its arithmetic reads
-them into a grlex ring on the declared variables it uses plus its kernels,
-ordered last.  The canonical tail (cancel, then normalize the denominator)
-runs on ring elements for every operation, with or without kernels, and a
-result in which no kernel survives is stored in ring form.
+Storage: every expression stores its numerator and denominator as sparse
+polynomials (``PolyElement``) of one grlex ring over QQ, whose generators are
+the scope's declared variables, in declared order, and then exactly the
+kernels the value uses, in the scope's kernel order.  A kernel-free value's
+ring is ``Scope.ring``.  ``==``, ``hash``, printing, arithmetic and kernel
+normalization read these ring elements.  Sympy expression trees of the parts
+are built only on demand, for evaluation, substitution, lifting between
+scopes and locus factoring; ``Expr._canonical`` is the one reader of trees.
 
 Canonical form invariants:
 
-* numerator and denominator are coprime polynomials over Q (kernel-bearing
-  parts as expanded sums of monomials, ``PolyElement.as_expr()`` output);
+* numerator and denominator are coprime polynomials over Q;
 * the denominator is primitive with integer coefficients and its leading
-  coefficient (graded lexicographic, declared variable order, kernels last)
+  coefficient (graded lexicographic, declared variables first, kernels last)
   is positive, so a rational constant p/q is stored as ``(p/q, 1)``, whichever
   operation made it;
-* a monomial carries at most one kernel symbol, to the first power: products
-  and powers of kernels are merged additively (``exp(a)*exp(b) -> exp(a+b)``);
-* ``exp(0)`` never survives (rewritten to 1), and kernels with equal
-  canonical arguments share one interned symbol.
+* a monomial carries at most one kernel, to the first power: products
+  and powers of kernels are merged additively (``exp(a)*exp(b) -> exp(a+b)``),
+  and ``exp(0)`` never survives (rewritten to 1);
+* a denominator in which every monomial carries a kernel is divided by its
+  least kernel (kernels are units), so it keeps a kernel-free monomial;
+* kernels with equal canonical arguments share one interned symbol, and a
+  scope orders its kernels by their argument's printed canonical form in
+  that scope (``Scope._kernel_argument``), which is also how they print.
+
+Kernels with commensurable arguments, such as ``exp(x)`` and ``exp(2*x)``,
+are independent generators, so a fraction over them may be left unreduced.
 """
 
 from __future__ import annotations
@@ -81,37 +84,40 @@ class EvalError(ExprError):
 class _KernelTable:
     """Process-wide interner mapping canonical exp arguments to symbols.
 
-    Shared so that equal arguments get one symbol across scopes; guarded by a
-    lock since interning is the only mutation in the whole expression layer.
-    Kernels are ordered by their argument's printed canonical form, so the
-    order (and every output that depends on it) does not depend on which
-    kernels a process happened to intern first.
+    An argument is keyed by its canonical numerator and denominator as sets
+    of terms over variable names, so equal arguments get one symbol across
+    scopes; guarded by a lock since interning is the only mutation shared
+    between scopes.  The table holds no order and no printed form: a scope
+    orders and prints kernels by their arguments over itself, so no output
+    depends on which scope interned a kernel first.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._by_arg: dict[tuple[sm.Expr, sm.Expr], sm.Symbol] = {}
+        self._by_arg: dict[tuple, sm.Symbol] = {}
         self._args: dict[sm.Symbol, "Expr"] = {}
-        self._rank: dict[sm.Symbol, str] = {}
 
     def intern(self, argument: "Expr") -> sm.Symbol:
         if argument.has_kernels():
             raise ExprError("exp argument must itself be free of exp")
-        key = (argument._num, argument._den)
+        symbols = argument.scope.ring.symbols
+        key = tuple(
+            frozenset(
+                (frozenset((s, e) for s, e in zip(symbols, monom) if e), coeff)
+                for monom, coeff in part.items()
+            )
+            for part in (argument._p, argument._q)
+        )
         with self._lock:
             symbol = self._by_arg.get(key)
             if symbol is None:
                 symbol = sm.Symbol(f"_e{len(self._by_arg)}")
                 self._by_arg[key] = symbol
                 self._args[symbol] = argument
-                self._rank[symbol] = argument.print()
             return symbol
 
     def argument(self, symbol: sm.Symbol) -> "Expr":
         return self._args[symbol]
-
-    def rank(self, symbol: sm.Symbol) -> str:
-        return self._rank[symbol]
 
     def is_kernel(self, symbol: sm.Symbol) -> bool:
         return symbol in self._args
@@ -125,7 +131,9 @@ class Scope:
 
     ``ring`` is the grlex polynomial ring over QQ on the declared variables,
     in declared order; every kernel-free expression of the scope stores its
-    numerator and denominator as elements of it.
+    numerator and denominator as elements of it.  A kernel-bearing value's
+    ring appends the kernels it uses, ordered by their argument's printed
+    canonical form over this scope.
     """
 
     def __init__(self, names: Sequence[str]):
@@ -142,6 +150,11 @@ class Scope:
         self._names = names
         self._symbols = {n: sm.Symbol(n) for n in names}
         self.ring = _ring(tuple(self._symbols.values()))
+        # memos: each kernel's argument over this scope, and the one kernel
+        # (or None for exp(0)) that each product of kernel powers merges into;
+        # both are functions of their keys, so a race only recomputes a value
+        self._kernel_args: dict[sm.Symbol, Expr] = {}
+        self._kernel_products: dict[tuple, sm.Symbol | None] = {}
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -193,8 +206,8 @@ class Scope:
             argument = self.lift(argument)
         if argument.is_zero():
             return self.one
-        symbol = _KERNELS.intern(argument)
-        return Expr._of_trees(self, symbol, sm.Integer(1))
+        ring = self._kernel_ring([self._kernel(argument)])
+        return Expr._of(self, ring.gens[-1], ring.one)
 
     def parse(self, text: str) -> "Expr":
         return _Parser(text, self).parse()
@@ -213,52 +226,46 @@ class Scope:
     def extended(self, extra: Sequence[str]) -> "Scope":
         return Scope(self._names + tuple(extra))
 
+    # -- kernels ------------------------------------------------------------
 
-def _kernel_symbols(expression: sm.Expr) -> list[sm.Symbol]:
-    found = [s for s in expression.free_symbols if _KERNELS.is_kernel(s)]
-    found.sort(key=_KERNELS.rank)
-    return found
+    def _kernel(self, argument: "Expr") -> sm.Symbol:
+        """The kernel symbol of exp(argument), for a nonzero argument here."""
+        symbol = _KERNELS.intern(argument)
+        self._kernel_args.setdefault(symbol, argument)
+        return symbol
 
+    def _kernel_argument(self, kernel: sm.Symbol) -> "Expr":
+        """A kernel's argument over this scope."""
+        argument = self._kernel_args.get(kernel)
+        if argument is None:
+            argument = self.lift(_KERNELS.argument(kernel))
+            self._kernel_args[kernel] = argument
+        return argument
 
-def _merge_kernel_monomials(poly: sm.Expr, scope: Scope) -> sm.Expr:
-    """Rewrite each monomial so it carries at most one first-power kernel."""
-    kernels = _kernel_symbols(poly)
-    if not kernels:
-        return poly
-    poly = sm.expand(poly)
-    terms_out = []
-    for term in sm.Add.make_args(poly):
-        rest = []
-        arg_sum: "Expr | None" = None
-        plain = True
-        for factor in sm.Mul.make_args(term):
-            base, power = factor.as_base_exp()
-            if isinstance(base, sm.Symbol) and _KERNELS.is_kernel(base):
-                if not (power.is_Integer):
-                    raise ExprError("non-integer power of an exp kernel")
-                if power == 1 and arg_sum is None and plain:
-                    # tentatively fine; flag combination lazily
-                    arg_sum = scope.lift(_KERNELS.argument(base))
-                    plain = True
-                    continue
-                contribution = scope.lift(_KERNELS.argument(base)) * int(power)
-                arg_sum = contribution if arg_sum is None else arg_sum + contribution
-                plain = False
-            else:
-                rest.append(factor)
-        if arg_sum is None:
-            terms_out.append(term)
-            continue
-        if not plain:
-            kernel_factor = (
-                sm.Integer(1)
-                if arg_sum.is_zero()
-                else _KERNELS.intern(scope.lift(arg_sum))
-            )
-        else:
-            kernel_factor = _KERNELS.intern(scope.lift(arg_sum))
-        terms_out.append(sm.Mul(*rest) * kernel_factor)
-    return sm.expand(sm.Add(*terms_out))
+    def _kernel_rank(self, kernel: sm.Symbol) -> str:
+        return self._kernel_argument(kernel).print()
+
+    def _kernel_ring(self, kernels: Iterable[sm.Symbol]) -> PolyRing:
+        """The ring on the declared variables and the kernels, in kernel order."""
+        ordered = sorted(kernels, key=self._kernel_rank)
+        return _ring(self.ring.symbols + tuple(ordered))
+
+    def _kernel_product(
+        self, powers: tuple[tuple[sm.Symbol, int], ...]
+    ) -> sm.Symbol | None:
+        """The kernel that a product of kernel powers merges into.
+
+        exp(a)^i * exp(b)^j = exp(i*a + j*b); None when that argument is 0.
+        The kernels may come from any scope.
+        """
+        products = self._kernel_products
+        if powers not in products:
+            argument = self.zero
+            for kernel, power in powers:
+                if power:
+                    argument = argument + self._kernel_argument(kernel) * power
+            products[powers] = None if argument.is_zero() else self._kernel(argument)
+        return products[powers]
 
 
 _RINGS: dict[tuple[sm.Symbol, ...], PolyRing] = {}
@@ -290,23 +297,56 @@ def _cofactors(
         return h.monic(), cff.mul_ground(lead), cfg.mul_ground(lead)
 
 
-def _grlex_term_key(term: tuple[tuple[int, ...], object]) -> tuple:
-    return (sum(term[0]), term[0])
+def _merge_kernels(
+    scope: Scope, num: PolyElement, den: PolyElement
+) -> tuple[PolyElement, PolyElement]:
+    """num and den with each monomial's kernels merged into at most one.
+
+    The parts belong to one ring on the scope's variables and then kernels
+    of any scope, to any powers.  Each monomial's kernel powers become the
+    one first-power kernel of their summed argument, or none when that sum
+    is 0.  If then every monomial of den carries a kernel, both parts are
+    divided by den's least kernel.  The results belong to the ring on the
+    scope's variables and the kernels they use.
+    """
+    n = len(scope)
+    kernels = num.ring.symbols[n:]
+
+    def merged(poly: PolyElement, divisor: tuple = ()) -> dict[tuple, object]:
+        """{(variable exponents, kernel or None): coefficient} of poly/divisor."""
+        terms: dict[tuple, object] = {}
+        for monom, coeff in poly.items():
+            powers = tuple(zip(kernels, monom[n:])) + divisor
+            key = (monom[:n], scope._kernel_product(powers))
+            terms[key] = terms.get(key, 0) + coeff
+        return {key: coeff for key, coeff in terms.items() if coeff}
+
+    num_terms, den_terms = merged(num), merged(den)
+    if den_terms and all(kernel is not None for _, kernel in den_terms):
+        least = min((kernel for _, kernel in den_terms), key=scope._kernel_rank)
+        divisor = ((least, -1),)
+        num_terms, den_terms = merged(num, divisor), merged(den, divisor)
+    used = {kernel for _, kernel in [*num_terms, *den_terms] if kernel is not None}
+    ring = scope._kernel_ring(used)
+    exponents = {
+        kernel: tuple(int(kernel == other) for other in ring.symbols[n:])
+        for kernel in [None, *used]
+    }
+
+    def element(terms: dict) -> PolyElement:
+        return ring.from_dict(
+            {
+                variables + exponents[kernel]: coeff
+                for (variables, kernel), coeff in terms.items()
+            }
+        )
+
+    return element(num_terms), element(den_terms)
 
 
-def _tree_terms(poly: sm.Expr, gens: Sequence[sm.Symbol]) -> list[tuple]:
-    """(exponents, coefficient) pairs of an expanded polynomial tree."""
-    index = {g: i for i, g in enumerate(gens)}
-    terms = []
-    for term in sm.Add.make_args(poly):
-        coeff, monomial = term.as_coeff_Mul()
-        exponents = [0] * len(gens)
-        if monomial != 1:
-            for factor in sm.Mul.make_args(monomial):
-                base, power = factor.as_base_exp()
-                exponents[index[base]] = int(power)
-        terms.append((tuple(exponents), coeff))
-    return terms
+def _kernel_part(f: PolyElement, position: int) -> PolyElement:
+    """The terms of f that carry the generator at position."""
+    return f.ring.from_dict({m: c for m, c in f.items() if m[position]})
 
 
 class Expr:
@@ -321,7 +361,21 @@ class Expr:
 
     @classmethod
     def _of(cls, scope: Scope, p: PolyElement, q: PolyElement) -> "Expr":
-        """A kernel-free expression from canonical elements of ``scope.ring``."""
+        """An expression from canonical parts in one ring of the scope.
+
+        The stored ring drops the kernels that neither part uses.
+        """
+        ring = p.ring
+        if ring is not scope.ring:
+            n = len(scope)
+            used = [
+                kernel
+                for i, kernel in enumerate(ring.symbols[n:], n)
+                if any(m[i] for m in p) or any(m[i] for m in q)
+            ]
+            if len(used) < ring.ngens - n:
+                ring = scope._kernel_ring(used)
+                p, q = p.set_ring(ring), q.set_ring(ring)
         self = object.__new__(cls)
         self._scope = scope
         self._p = p
@@ -329,23 +383,6 @@ class Expr:
         self._trees = None
         self._print_memo = None
         return self
-
-    @classmethod
-    def _of_trees(cls, scope: Scope, num: sm.Expr, den: sm.Expr) -> "Expr":
-        """A kernel-bearing expression from canonical trees."""
-        self = object.__new__(cls)
-        self._scope = scope
-        self._p = self._q = None
-        self._trees = (num, den)
-        self._print_memo = None
-        return self
-
-    @classmethod
-    def _make(cls, scope: Scope, num: sm.Expr, den: sm.Expr) -> "Expr":
-        """An expression from trees already in canonical form."""
-        if _kernel_symbols(num) or _kernel_symbols(den):
-            return cls._of_trees(scope, num, den)
-        return cls._of(scope, scope.ring.from_expr(num), scope.ring.from_expr(den))
 
     @property
     def _num(self) -> sm.Expr:
@@ -356,7 +393,7 @@ class Expr:
         return self._tree_parts()[1]
 
     def _tree_parts(self) -> tuple[sm.Expr, sm.Expr]:
-        """Numerator and denominator trees, built on first use when kernel-free."""
+        """Numerator and denominator trees, built on first use."""
         trees = self._trees
         if trees is None:
             trees = self._trees = (self._p.as_expr(), self._q.as_expr())
@@ -364,12 +401,14 @@ class Expr:
 
     @classmethod
     def _from_polys(cls, scope: Scope, num: PolyElement, den: PolyElement) -> "Expr":
-        """Cancel num/den and normalize the denominator (the canonical tail).
+        """The canonical form of num/den (the canonical tail).
 
-        num and den belong to ``scope.ring``, or to a kernel ring (declared
-        variables, then kernels); a kernel-ring result whose kernels all
-        cancelled moves to ``scope.ring``.
+        num and den belong to ``scope.ring``, or to a ring on the scope's
+        variables and then any kernels, whose monomials ``_merge_kernels``
+        normalizes first.  Then cancel num/den and normalize the denominator.
         """
+        if num.ring is not scope.ring:
+            num, den = _merge_kernels(scope, num, den)
         if not den:
             raise ExprError("zero denominator")
         if not num:
@@ -383,91 +422,15 @@ class Expr:
             content = -content
         num = num.quo_ground(content)
         den = den.quo_ground(content)
-        ring = num.ring
-        if ring is not scope.ring:
-            first_kernel = next(
-                i for i, g in enumerate(ring.symbols) if _KERNELS.is_kernel(g)
-            )
-            if any(any(m[first_kernel:]) for part in (num, den) for m in part):
-                return cls._of_trees(scope, num.as_expr(), den.as_expr())
-            num, den = num.set_ring(scope.ring), den.set_ring(scope.ring)
         return cls._of(scope, num, den)
 
     @classmethod
     def _canonical(cls, scope: Scope, num: sm.Expr, den: sm.Expr) -> "Expr":
-        num = _merge_kernel_monomials(num, scope)
-        den = _merge_kernel_monomials(den, scope)
-        den, unit = cls._clear_kernel_unit(scope, den)
-        if unit != 1:
-            num = _merge_kernel_monomials(num * unit, scope)
-        ring = cls._ring_for(scope, num, den)
-        try:
-            num_poly, den_poly = ring.from_expr(num), ring.from_expr(den)
-        except ValueError:
-            # rational subtrees (e.g. kernel chain rule): flatten to one
-            # fraction with polynomial numerator and denominator, re-merge
-            num, den = sm.fraction(sm.together(num / den))
-            num = _merge_kernel_monomials(num, scope)
-            den = _merge_kernel_monomials(den, scope)
-            den, unit = cls._clear_kernel_unit(scope, den)
-            if unit != 1:
-                num = _merge_kernel_monomials(num * unit, scope)
-            ring = cls._ring_for(scope, num, den)
-            num_poly, den_poly = ring.from_expr(num), ring.from_expr(den)
-        return cls._from_polys(scope, num_poly, den_poly)
-
-    @classmethod
-    def _ring_for(cls, scope: Scope, num: sm.Expr, den: sm.Expr) -> PolyRing:
-        """``scope.ring``, or the kernel ring when a kernel occurs in the trees."""
-        gens = cls._gens_for(scope, num, den)
-        if gens and _KERNELS.is_kernel(gens[-1]):
-            return _ring(gens)
-        return scope.ring
-
-    @staticmethod
-    def _clear_kernel_unit(scope: Scope, den: sm.Expr) -> tuple[sm.Expr, sm.Expr]:
-        """Return (den', unit) with den = den' * unit^{-1}... unit a kernel.
-
-        If every monomial of the denominator carries a kernel, divide out the
-        least one (kernels are units); returns the adjusted denominator and
-        the kernel factor to multiply into the numerator.
-        """
-        kernels = _kernel_symbols(den)
-        if not kernels:
-            return den, sm.Integer(1)
-        per_term = []
-        for term in sm.Add.make_args(sm.expand(den)):
-            symbols = [
-                f.as_base_exp()[0]
-                for f in sm.Mul.make_args(term)
-                if isinstance(f.as_base_exp()[0], sm.Symbol)
-                and _KERNELS.is_kernel(f.as_base_exp()[0])
-            ]
-            if not symbols:
-                return den, sm.Integer(1)
-            per_term.append(min(symbols, key=_KERNELS.rank))
-        pivot = min(per_term, key=_KERNELS.rank)
-        inverse_arg = _KERNELS.argument(pivot) * (-1)
-        if inverse_arg.is_zero():
-            inverse = sm.Integer(1)
-        else:
-            inverse = _KERNELS.intern(scope.lift(inverse_arg))
-        den = _merge_kernel_monomials(sm.expand(den * inverse), scope)
-        return den, inverse
-
-    @classmethod
-    def _gens_for(cls, scope: Scope, *polys: sm.Expr) -> tuple[sm.Symbol, ...]:
-        free: set[sm.Symbol] = set()
-        for p in polys:
-            free |= p.free_symbols
-        base = [scope.symbol(n) for n in scope.names if scope.symbol(n) in free]
-        kernels = sorted(
-            (s for s in free if _KERNELS.is_kernel(s)), key=_KERNELS.rank
-        )
-        stray = free - set(base) - set(kernels)
-        if stray:
-            raise ExprError(f"symbols {stray} not declared in {scope!r}")
-        return tuple(base + kernels)
+        """The canonical form of num/den, given as polynomial trees."""
+        symbols = num.free_symbols | den.free_symbols
+        kernels = tuple(s for s in symbols if _KERNELS.is_kernel(s))
+        ring = _ring(scope.ring.symbols + kernels)
+        return cls._from_polys(scope, ring.from_expr(num), ring.from_expr(den))
 
     # -- basic protocol --------------------------------------------------
 
@@ -476,13 +439,13 @@ class Expr:
         return self._scope
 
     def is_zero(self) -> bool:
-        return self._p is not None and not self._p
+        return not self._p
 
     def is_one(self) -> bool:
-        return self._p is not None and self._p.is_one and self._q.is_one
+        return self._p.is_one and self._q.is_one
 
     def is_constant(self) -> bool:
-        return self._p is not None and self._p.is_ground and self._q.is_ground
+        return self._p.is_ground and self._q.is_ground
 
     def leading_sign(self) -> int:
         """Sign of the numerator's grlex-leading coefficient (kernels last).
@@ -490,37 +453,27 @@ class Expr:
         The denominator leads positive, so this orients the whole expression;
         zero counts as negative.
         """
-        if self._p is not None:
-            lead = self._p.LC
-        else:
-            gens = self._gens_for(self._scope, self._num, self._den)
-            lead = max(_tree_terms(self._num, gens), key=_grlex_term_key)[1]
-        return 1 if lead > 0 else -1
+        return 1 if self._p.LC > 0 else -1
 
     def has_kernels(self) -> bool:
-        return self._p is None
+        return self._p.ring is not self._scope.ring
 
     def denominator(self) -> "Expr":
         """The denominator, as a polynomial expression."""
-        if self._p is not None:
-            return Expr._of(self._scope, self._q, self._scope.ring.one)
-        return Expr._canonical(self._scope, self._den, sm.Integer(1))
+        return Expr._of(self._scope, self._q, self._q.ring.one)
 
     def variable_symbols(self) -> set[sm.Symbol]:
-        if self._p is not None:
-            monomials = list(self._p) + list(self._q)
-            return {
-                symbol
-                for symbol, column in zip(self._scope.ring.symbols, zip(*monomials))
-                if any(column)
-            }
+        scope = self._scope
+        ring = self._p.ring
         symbols: set[sm.Symbol] = set()
-        for part in (self._num, self._den):
-            for s in part.free_symbols:
-                if _KERNELS.is_kernel(s):
-                    symbols |= _KERNELS.argument(s).variable_symbols()
-                else:
-                    symbols.add(s)
+        columns = zip(*self._p.keys(), *self._q.keys())
+        for i, (symbol, column) in enumerate(zip(ring.symbols, columns)):
+            if not any(column):
+                continue
+            if i < len(scope):
+                symbols.add(symbol)
+            else:
+                symbols |= scope._kernel_argument(symbol).variable_symbols()
         return symbols
 
     def variables(self) -> set[str]:
@@ -529,16 +482,15 @@ class Expr:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Expr):
             return NotImplemented
-        if self._scope != other._scope:
-            return False
-        if self._p is not None:
-            return other._p is not None and self._p == other._p and self._q == other._q
-        return other._p is None and self._trees == other._trees
+        return (
+            self._scope == other._scope
+            and self._p.ring is other._p.ring
+            and self._p == other._p
+            and self._q == other._q
+        )
 
     def __hash__(self) -> int:
-        if self._p is not None:
-            return hash((self._scope, self._p, self._q))
-        return hash((self._scope, self._trees))
+        return hash((self._scope, self._p, self._q))
 
     def __repr__(self) -> str:
         return f"Expr({self})"
@@ -554,35 +506,32 @@ class Expr:
             return self._scope.const(other)
         raise TypeError(f"cannot combine Expr with {type(other).__name__}")
 
+    def _joint(self, other: "Expr") -> tuple[PolyElement, ...]:
+        """Both operands' numerators and denominators in one ring."""
+        p, q, r, s = self._p, self._q, other._p, other._q
+        if p.ring is r.ring:
+            return p, q, r, s
+        n = len(self._scope)
+        kernels = set(p.ring.symbols[n:]) | set(r.ring.symbols[n:])
+        ring = self._scope._kernel_ring(kernels)
+        return p.set_ring(ring), q.set_ring(ring), r.set_ring(ring), s.set_ring(ring)
+
     def __add__(self, other) -> "Expr":
         other = self._coerce(other)
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        if self._p is not None and other._p is not None:
-            p, q, r, s = self._p, self._q, other._p, other._q
-            if q.is_one and s.is_one:
-                return Expr._of(self._scope, p + r, q)
-            return Expr._from_polys(self._scope, p * s + r * q, q * s)
-        if self._den == 1 and other._den == 1:
-            # sums of expanded polynomials collect terms without expand
-            num = self._num + other._num
-            if num == 0:
-                return self._scope.zero
-            return Expr._make(self._scope, num, sm.Integer(1))
-        return Expr._canonical(
-            self._scope,
-            self._num * other._den + other._num * self._den,
-            self._den * other._den,
-        )
+        p, q, r, s = self._joint(other)
+        if q.is_one and s.is_one:
+            # a sum of canonical polynomials is canonical
+            return Expr._of(self._scope, p + r, q)
+        return Expr._from_polys(self._scope, p * s + r * q, q * s)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Expr":
-        if self._p is not None:
-            return Expr._of(self._scope, -self._p, self._q)
-        return Expr._of_trees(self._scope, sm.expand(-self._num), self._den)
+        return Expr._of(self._scope, -self._p, self._q)
 
     def __sub__(self, other) -> "Expr":
         return self + (-self._coerce(other))
@@ -598,22 +547,11 @@ class Expr:
             return other
         if other.is_one():
             return self
-        if self._p is not None and other._p is not None:
-            p, q, r, s = self._p, self._q, other._p, other._q
-            if q.is_one and s.is_one:
-                # a product of polynomials is already canonical
-                return Expr._of(self._scope, p * r, q)
-            return Expr._from_polys(self._scope, p * r, q * s)
-        if self._den == 1 and other._den == 1:
-            num = _merge_kernel_monomials(
-                sm.expand(self._num * other._num), self._scope
-            )
-            if num == 0:
-                return self._scope.zero
-            return Expr._make(self._scope, num, sm.Integer(1))
-        return Expr._canonical(
-            self._scope, self._num * other._num, self._den * other._den
-        )
+        p, q, r, s = self._joint(other)
+        if q.is_one and s.is_one and p.ring is self._scope.ring:
+            # a product of kernel-free polynomials is already canonical
+            return Expr._of(self._scope, p * r, q)
+        return Expr._from_polys(self._scope, p * r, q * s)
 
     __rmul__ = __mul__
 
@@ -623,13 +561,8 @@ class Expr:
             raise ExprError("division by zero expression")
         if self.is_zero() or other.is_one():
             return self
-        if self._p is not None and other._p is not None:
-            return Expr._from_polys(
-                self._scope, self._p * other._q, self._q * other._p
-            )
-        return Expr._canonical(
-            self._scope, self._num * other._den, self._den * other._num
-        )
+        p, q, r, s = self._joint(other)
+        return Expr._from_polys(self._scope, p * s, q * r)
 
     def __rtruediv__(self, other) -> "Expr":
         return self._coerce(other) / self
@@ -641,74 +574,72 @@ class Expr:
             return self._scope.one
         if exponent < 0:
             return self._scope.one / self ** (-exponent)
-        if self._p is not None:
+        p, q = self._p**exponent, self._q**exponent
+        if not self.has_kernels():
             # powers of coprime parts stay coprime, and by Gauss's lemma the
             # denominator stays primitive with a positive leading coefficient
-            return Expr._of(self._scope, self._p**exponent, self._q**exponent)
-        return Expr._canonical(self._scope, self._num**exponent, self._den**exponent)
+            return Expr._of(self._scope, p, q)
+        return Expr._from_polys(self._scope, p, q)
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, var: str) -> "Expr":
-        """Exact partial derivative; kernels follow the chain rule."""
-        symbol = self._scope.symbol(var)
-        if self._p is not None:
-            index = self._scope.index(var)
-            p, q = self._p, self._q
-            if q.is_one:
-                return Expr._of(self._scope, p.diff(index), q)
-            num = p.diff(index) * q - p * q.diff(index)
-            if not num:
-                return self._scope.zero
-            return Expr._from_polys(self._scope, num, q * q)
-        num_d = self._part_diff(self._num, symbol)
-        den_d = self._part_diff(self._den, symbol)
-        return Expr._canonical(
-            self._scope,
-            num_d * self._den - self._num * den_d,
-            self._den * self._den,
-        )
+        """Exact partial derivative; kernels follow the chain rule.
 
-    def _part_diff(self, poly: sm.Expr, symbol: sm.Symbol) -> sm.Expr:
-        result = sm.diff(poly, symbol)
-        for kernel in _kernel_symbols(poly):
-            argument = self._scope.lift(_KERNELS.argument(kernel))
-            arg_d = argument.diff(str(symbol))
-            if arg_d.is_zero():
-                continue
-            result += sm.diff(poly, kernel) * kernel * arg_d._num / arg_d._den
-        return result
+        d exp(a) = exp(a) da, so the part of the numerator and of the
+        denominator that carries a kernel gains that kernel's rate da/dvar;
+        the quotient rule runs on ring elements, over the product of the
+        rates' denominators.
+        """
+        scope = self._scope
+        scope.symbol(var)
+        index = scope.index(var)
+        p, q = self._p, self._q
+        ring = p.ring
+        rates = []
+        for position in range(scope.ring.ngens, ring.ngens):
+            rate = scope._kernel_argument(ring.symbols[position]).diff(var)
+            if not rate.is_zero():
+                rates.append((position, rate._p.set_ring(ring), rate._q.set_ring(ring)))
+        if q.is_one and not rates:
+            return Expr._of(scope, p.diff(index), q)
+        # num/den is the derivative so far; den = q^2 * scale
+        num = p.diff(index) * q - p * q.diff(index)
+        den, scale = q * q, ring.one
+        for position, u, v in rates:
+            gained = _kernel_part(p, position) * q - p * _kernel_part(q, position)
+            num = num * v + gained * u * scale
+            den, scale = den * v, scale * v
+        if not num:
+            return scope.zero
+        return Expr._from_polys(scope, num, den)
 
     def subs(self, bindings: Mapping[str, "Expr"]) -> "Expr":
         """Substitute expressions for variables; kernels re-normalize."""
+        scope = self._scope
         replacements: dict[sm.Symbol, sm.Expr] = {}
         for name, value in bindings.items():
             if not isinstance(value, Expr):
-                value = self._scope.const(value)
-            if value._scope != self._scope:
-                value = self._scope.lift(value)
-            replacements[self._scope.symbol(name)] = value._num / value._den
+                value = scope.const(value)
+            if value._scope != scope:
+                value = scope.lift(value)
+            replacements[scope.symbol(name)] = value._num / value._den
         kernel_map: dict[sm.Symbol, sm.Expr] = {}
-        for part in (self._num, self._den):
-            for kernel in _kernel_symbols(part):
-                if kernel in kernel_map:
-                    continue
-                argument = self._scope.lift(_KERNELS.argument(kernel))
-                if not (argument.variables() & set(bindings)):
-                    continue
-                new_argument = argument.subs(bindings)
-                if new_argument.has_kernels():
-                    raise ExprError("substitution would nest exp inside exp")
-                if new_argument.is_zero():
-                    kernel_map[kernel] = sm.Integer(1)
-                else:
-                    kernel_map[kernel] = _KERNELS.intern(
-                        self._scope.lift(new_argument)
-                    )
+        for kernel in self._p.ring.symbols[len(scope):]:
+            argument = scope._kernel_argument(kernel)
+            if not (argument.variables() & set(bindings)):
+                continue
+            new_argument = argument.subs(bindings)
+            if new_argument.has_kernels():
+                raise ExprError("substitution would nest exp inside exp")
+            if new_argument.is_zero():
+                kernel_map[kernel] = sm.Integer(1)
+            else:
+                kernel_map[kernel] = scope._kernel(new_argument)
         num = self._num.xreplace(kernel_map).xreplace(replacements)
         den = self._den.xreplace(kernel_map).xreplace(replacements)
         num, den = sm.together(num / den).as_numer_denom()
-        return Expr._canonical(self._scope, sm.expand(num), sm.expand(den))
+        return Expr._canonical(scope, sm.expand(num), sm.expand(den))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -744,7 +675,7 @@ class Expr:
         """Render with real sympy exp calls (for numeric work only)."""
         mapping = {
             k: sm.exp(_KERNELS.argument(k).as_sympy_exp())
-            for k in _kernel_symbols(self._num) + _kernel_symbols(self._den)
+            for k in self._p.ring.symbols[len(self._scope):]
         }
         return (self._num / self._den).xreplace(mapping)
 
@@ -756,31 +687,28 @@ class Expr:
     def print(self) -> str:
         if self._print_memo is not None:
             return self._print_memo
-        if self._p is not None:
-            names = self._scope.names
-            parts = [(list(self._p.items()), names), (list(self._q.items()), names)]
-        else:
-            parts = [self._printable_terms(self._num), self._printable_terms(self._den)]
-        (num_terms, _), (den_terms, _) = parts
-        text = _print_terms(*parts[0])
+        scope = self._scope
+        names = scope.names + tuple(
+            [
+                f"exp({scope._kernel_argument(kernel).print()})"
+                for kernel in self._p.ring.symbols[scope.ring.ngens:]
+            ]
+        )
+        num_terms, den_terms = list(self._p.items()), list(self._q.items())
+        text = _print_terms(num_terms, names)
         if len(den_terms) > 1 or any(den_terms[0][0]):  # the denominator is not 1
             if len(num_terms) > 1:
                 text = f"({text})"
-            den = _print_terms(*parts[1])
+            den = _print_terms(den_terms, names)
             if len(den_terms) > 1 or _is_product(den_terms[0]) or den.startswith("-"):
                 den = f"({den})"
             text = f"{text}/{den}"
         self._print_memo = text
         return text
 
-    def _printable_terms(self, poly: sm.Expr) -> tuple[list[tuple], list[str]]:
-        """A kernel-bearing part's terms, and the printed name of each generator."""
-        gens = self._gens_for(self._scope, poly)
-        names = [
-            f"exp({_KERNELS.argument(g).print()})" if _KERNELS.is_kernel(g) else str(g)
-            for g in gens
-        ]
-        return _tree_terms(poly, gens), names
+
+def _grlex_term_key(term: tuple[tuple[int, ...], object]) -> tuple:
+    return (sum(term[0]), term[0])
 
 
 def _print_terms(terms: list[tuple], names: Sequence[str]) -> str:

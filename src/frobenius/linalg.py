@@ -148,7 +148,7 @@ def _locus_factors(entry: Expr, into: list[Expr]) -> None:
             continue
         for factor, _ in sm.factor_list(part)[1]:
             expr = Expr._canonical(scope, sm.expand(factor), sm.Integer(1))
-            if expr.has_kernels() and expr._num.is_Symbol:
+            if expr.has_kernels() and expr._p.is_generator:
                 continue  # bare exponential kernels never vanish
             merge_locus(into, [expr if expr.leading_sign() > 0 else -expr])
 

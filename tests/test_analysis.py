@@ -285,7 +285,28 @@ class TestPfaffClosure:
 
     def test_square_system_closed(self):
         pf = load_fixture("ex_4_2").pfaff
-        assert pfaff_closure_check(pf, "both").closed
+        check = pfaff_closure_check(pf, "both")
+        assert check.closed and check.family is None
+
+    def test_check_keeps_the_operator_family_it_closed(self):
+        pf = load_fixture("ex_4_6").pfaff
+        check = pfaff_closure_check(pf, "contragredient")
+        family, excluded = operator_family(System("pfaff", pfaff=pf))
+        assert check.family.operators == family.operators
+        assert all(e in check.excluded for e in excluded)
+
+    def test_analyze_builds_one_contragredient(self, monkeypatch):
+        import frobenius.analysis as analysis
+
+        calls = []
+
+        def counting(pf):
+            calls.append(pf)
+            return pfaff_contragredient(pf)
+
+        monkeypatch.setattr(analysis, "pfaff_contragredient", counting)
+        report = analyze(load_fixture("ex_4_6"))
+        assert report.verdict and len(calls) == 1
 
 
 class TestAnalyze:

@@ -59,6 +59,17 @@ class TestParsing:
         with pytest.raises(ParseError, match="nested"):
             joint.parse("exp(exp(x1))")
 
+    def test_kernel_order_and_names_follow_the_value_scope(self):
+        """Where a kernel was interned first leaves no trace in output."""
+        first = Scope(["y", "x"])
+        first.parse("exp(x+y)"), first.parse("exp(x-y)")
+        second = Scope(["x", "y"])
+        assert second.parse("exp(x+y) + exp(x-y)").print() == "exp(x + y) + exp(x - y)"
+        assert (
+            second.parse("1/(exp(x+y) - exp(x-y))").print()
+            == "-exp(-x - y)/(exp(-2*y) - 1)"
+        )
+
     def test_comments_and_whitespace(self, joint):
         assert joint.parse("x1 # trailing\n + x2") == joint.parse("x1+x2")
 
@@ -264,7 +275,7 @@ class TestCanonicalForm:
 
 
 class TestPolynomialPath:
-    """Kernel-free arithmetic on ring elements agrees with the tree path."""
+    """Kernel-free arithmetic on ring elements agrees with the tree reader."""
 
     @staticmethod
     def _tree_cases(a, b, var):
@@ -351,6 +362,20 @@ class TestPolynomialPath:
         )
         return first, second, solver
 
+    @staticmethod
+    def _count_tree_reads(monkeypatch) -> list[str]:
+        """Record every later ``from_expr`` and ``as_expr`` call."""
+        calls = []
+        for owner, name in ((PolyRing, "from_expr"), (PolyElement, "as_expr")):
+            original = getattr(owner, name)
+
+            def counting(self, *args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(owner, name, counting)
+        return calls
+
     def test_kernel_free_work_builds_no_dense_poly(self, joint, monkeypatch):
         """Falling back to sympy's dense Poly fails here, not in a timing."""
         first, second, solver = self._two_fields_and_solver(joint)
@@ -370,15 +395,7 @@ class TestPolynomialPath:
     def test_kernel_free_work_reads_no_trees(self, joint, monkeypatch):
         """Brackets, span queries and printing stay on ring elements."""
         first, second, solver = self._two_fields_and_solver(joint)
-        calls = []
-        for owner, name in ((PolyRing, "from_expr"), (PolyElement, "as_expr")):
-            original = getattr(owner, name)
-
-            def counting(self, *args, _original=original, _name=name):
-                calls.append(_name)
-                return _original(self, *args)
-
-            monkeypatch.setattr(owner, name, counting)
+        calls = self._count_tree_reads(monkeypatch)
         bracket = first.bracket(second)
         certificate = solver.query(bracket.coefficient_row())
         printed = [e.print() for e in bracket.coefficient_row()]
@@ -419,35 +436,40 @@ class TestPolynomialPath:
         assert [e.print() for e in fallen_back] == [e.print() for e in expected]
         assert fallen_back[-1] == p("(x1 + x2)*(x3 - 1)")
 
-    def test_kernel_operands_keep_tree_path(self, joint, monkeypatch):
-        calls = []
-        canonical = Expr._canonical.__func__
+    def test_kernel_work_reads_no_trees(self, joint, monkeypatch):
+        """Exp-bearing brackets, span queries and printing stay on ring elements.
 
-        def counting(cls, scope, num, den):
-            calls.append((num, den))
-            return canonical(cls, scope, num, den)
-
-        monkeypatch.setattr(Expr, "_canonical", classmethod(counting))
-        plain = joint.parse("x1/t1")
-        weighted = joint.parse("(1 - x1^2/t1^2 - x2^2 - x3^2)*exp(-2*x1/t1)")
-        calls.clear()
-        plain + plain * plain / (plain + joint.one)
-        plain.diff("t1")
+        The fields' brackets merge kernels, clear kernel units from
+        denominators and apply the chain rule with rational rates.
+        """
+        p = joint.parse
+        first = VectorField(
+            joint,
+            {"t1": joint.one, "x1": p("x1*exp(x2/t1)"), "x2": p("x2/(exp(t2) + x3)")},
+        )
+        second = VectorField(
+            joint,
+            {"t2": joint.one, "x1": p("exp(t1 + t2)/t2"), "x3": p("x1*exp(-t2)")},
+        )
+        # echelon's locus factoring (sm.factor_list) reads trees: not counted
+        solver = SpanSolver(
+            ExprMatrix.from_rows([first.coefficient_row(), second.coefficient_row()])
+        )
+        calls = self._count_tree_reads(monkeypatch)
+        bracket = first.bracket(second)
+        certificate = solver.query(bracket.coefficient_row())
+        printed = [e.print() for e in bracket.coefficient_row()]
+        printed.append(certificate.witness_minor.print())
+        assert not certificate.member
+        row = [e for e in bracket.coefficient_row() if not e.is_zero()]
+        assert row and all(e.has_kernels() for e in row)
+        assert certificate.witness_minor.has_kernels() and all(printed)
         assert calls == []
-        for operation in (
-            lambda: weighted + plain,
-            lambda: weighted * plain,
-            lambda: weighted / plain,
-            lambda: weighted.diff("x1"),
-        ):
-            calls.clear()
-            assert operation().has_kernels()
-            assert calls
 
     def test_unexpanded_part_still_reads_correctly(self):
         scope = Scope(["x1", "x2"])
         x, y = scope.symbol("x1"), scope.symbol("x2")
-        unexpanded = Expr._make(scope, x * (x + y), sm.Integer(1))
+        unexpanded = Expr._canonical(scope, x * (x + y), sm.Integer(1))
         assert unexpanded._p == scope.ring.from_expr(x**2 + x * y)
         assert unexpanded._q == 1 and unexpanded._num == x**2 + x * y
         expanded = scope.parse("x1^2 + x1*x2")

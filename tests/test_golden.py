@@ -24,6 +24,14 @@ INVALID = {
     "ex_2_32-invalid": ("ex_2_32", ["x1"]),
     "ex_4_1-invalid": ("ex_4_1", ["x1*x2"]),
     "ex_4_6-invalid": ("ex_4_6", ["x"]),
+    # the exp-kernel path: quotient rule over kernel denominators, kernel
+    # merging, unit clearing, float witness values, and a witness minor over
+    # kernel-bearing rows
+    "ex_1_3-kernels": (
+        "ex_1_3",
+        ["1/(exp(t1) + x1)", "x2*exp(t2)/(x3 - exp(t1 + t2))"],
+    ),
+    "ex_4_6-kernels": ("ex_4_6", ["1/(exp(x) + y)"]),
 }
 
 
