@@ -133,7 +133,8 @@ class Scope:
     in declared order; every kernel-free expression of the scope stores its
     numerator and denominator as elements of it.  A kernel-bearing value's
     ring appends the kernels it uses, ordered by their argument's printed
-    canonical form over this scope.
+    canonical form over this scope.  ``zero`` and ``one`` are the scope's
+    constant expressions, built once.
     """
 
     def __init__(self, names: Sequence[str]):
@@ -155,6 +156,9 @@ class Scope:
         # both are functions of their keys, so a race only recomputes a value
         self._kernel_args: dict[sm.Symbol, Expr] = {}
         self._kernel_products: dict[tuple, sm.Symbol | None] = {}
+        # an Expr is immutable, so one zero and one one serve the scope
+        self.zero = Expr._of(self, self.ring.zero, self.ring.one)
+        self.one = Expr._of(self, self.ring.one, self.ring.one)
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -191,14 +195,6 @@ class Scope:
     def const(self, value: Rat) -> "Expr":
         ground = self.ring.ground_new(QQ.from_sympy(sm.Rational(value)))
         return Expr._of(self, ground, self.ring.one)
-
-    @property
-    def zero(self) -> "Expr":
-        return Expr._of(self, self.ring.zero, self.ring.one)
-
-    @property
-    def one(self) -> "Expr":
-        return Expr._of(self, self.ring.one, self.ring.one)
 
     def exp(self, argument: "Expr") -> "Expr":
         """The kernel exp(argument); merges with existing equal arguments."""
@@ -423,6 +419,40 @@ class Expr:
         num = num.quo_ground(content)
         den = den.quo_ground(content)
         return cls._of(scope, num, den)
+
+    @classmethod
+    def _sum_of_products(
+        cls, scope: Scope, pairs: Iterable[tuple["Expr", "Expr"]]
+    ) -> "Expr":
+        """The canonical form of the sum of a*b over pairs of the scope.
+
+        The products are formed on ring elements in the operands' joint
+        ring, and products with equal denominators are summed as
+        polynomials.  Each such group's numerator is then multiplied by the
+        other groups' denominators, and one ``_from_polys`` call merges the
+        kernels and cancels once.  A sum that is zero returns before any gcd.
+        """
+        pairs = [(a, b) for a, b in pairs if not (a.is_zero() or b.is_zero())]
+        n = len(scope)
+        kernels = {k for pair in pairs for e in pair for k in e._p.ring.symbols[n:]}
+        ring = scope._kernel_ring(kernels) if kernels else scope.ring
+        groups: dict[PolyElement, PolyElement] = {}
+        for a, b in pairs:
+            p, q, r, s = (part.set_ring(ring) for part in (a._p, a._q, b._p, b._q))
+            den = q * s
+            groups[den] = groups.get(den, ring.zero) + p * r
+        nonzero = [(den, num) for den, num in groups.items() if num]
+        if not nonzero:
+            return scope.zero
+        den, num = nonzero[0]
+        for group_den, group_num in nonzero[1:]:
+            num, den = num * group_den + group_num * den, den * group_den
+        if not num:
+            return scope.zero
+        if den.is_one and ring is scope.ring:
+            # a kernel-free polynomial is canonical
+            return cls._of(scope, num, den)
+        return cls._from_polys(scope, num, den)
 
     @classmethod
     def _canonical(cls, scope: Scope, num: sm.Expr, den: sm.Expr) -> "Expr":

@@ -1,9 +1,13 @@
 """Linear algebra over the field of symbolic expressions.
 
 Generic rank, inversion, solving, and span membership with validated
-certificates.  Elimination re-reduces to canonical form at every step (the
-expression layer cancels numerator/denominator gcds), and the pivot rule is
-deterministic: smallest printed form, ties broken by lowest row then column.
+certificates.  Each elimination step returns canonical forms (the expression
+layer cancels numerator/denominator gcds).  Sums of products (matrix
+products, span coefficients) and the self-checks of certificates, inverses
+and solutions cancel once per returned value, through
+``Expr._sum_of_products``; a self-check's sum is zero and needs no gcd.  The
+pivot rule is deterministic: smallest printed form, ties broken by lowest row
+then column.
 Every pivot contributes its numerator and denominator factors to an excluded
 locus so callers can report where the generic answer degenerates.
 """
@@ -14,8 +18,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import sympy as sm
 
 from .expr import Expr, ExprError, EvalError, Point, Scope, _cofactors
 
@@ -91,13 +93,14 @@ class ExprMatrix:
     def mul(self, other: "ExprMatrix") -> "ExprMatrix":
         if self.cols != other.rows:
             raise LinalgError("dimension mismatch in product")
-        out = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                acc = self.at(i, 0) * other.at(0, j)
-                for k in range(1, self.cols):
-                    acc = acc + self.at(i, k) * other.at(k, j)
-                out.append(acc)
+        scope = self.scope
+        out = [
+            Expr._sum_of_products(
+                scope, [(a, other.at(k, j)) for k, a in enumerate(self.row(i))]
+            )
+            for i in range(self.rows)
+            for j in range(other.cols)
+        ]
         return ExprMatrix(self.rows, other.cols, out)
 
     def __eq__(self, other: object) -> bool:
@@ -143,11 +146,11 @@ def merge_locus(into: list[Expr], extra: Iterable[Expr]) -> list[Expr]:
 def _locus_factors(entry: Expr, into: list[Expr]) -> None:
     """Append the nonconstant irreducible factors of num and den of entry."""
     scope = entry.scope
-    for part in (entry._num, entry._den):
-        if not part.free_symbols:
+    for part in (entry._p, entry._q):
+        if part.is_ground:
             continue
-        for factor, _ in sm.factor_list(part)[1]:
-            expr = Expr._canonical(scope, sm.expand(factor), sm.Integer(1))
+        for factor, _ in part.factor_list()[1]:
+            expr = Expr._from_polys(scope, factor, factor.ring.one)
             if expr.has_kernels() and expr._p.is_generator:
                 continue  # bare exponential kernels never vanish
             merge_locus(into, [expr if expr.leading_sign() > 0 else -expr])
@@ -373,10 +376,8 @@ def solve(
     for r, c in result.pivots:
         solution[c] = result.work[r][matrix.cols]
     for i in range(matrix.rows):
-        acc = scope.zero
-        for j in range(matrix.cols):
-            acc = acc + matrix.at(i, j) * solution[j]
-        if not (acc - rhs[i]).is_zero():
+        pairs = list(zip(matrix.row(i), solution)) + [(scope.one, -rhs[i])]
+        if not Expr._sum_of_products(scope, pairs).is_zero():
             raise LinalgError("solution failed self-check")
     return solution, result.excluded
 
@@ -403,7 +404,10 @@ class SpanSolver:
     Eliminates [G | I] once; each query reduces the target against the
     reduced rows, which yields combination coefficients in the original
     generators (via the recorded transform) or a provably nonzero witness
-    minor of the stacked matrix.
+    minor of the stacked matrix.  A member's coefficients are each one sum
+    of products over the reducing rows' transforms, with one cancel; its
+    check sums the coefficients times each generator column, minus the
+    target, and that sum must be zero.
     """
 
     def __init__(self, generators: ExprMatrix):
@@ -432,24 +436,25 @@ class SpanSolver:
         if len(target) != generators.cols:
             raise LinalgError("target width mismatch")
         residual = list(target)
-        coefficients = [scope.zero] * m
+        factors = []  # (residual pivot entry, transform row) per reducing row
         for row, transform, _, c in self.rows:
             factor = residual[c]
             if factor.is_zero():
                 continue
             residual = [a - factor * b for a, b in zip(residual, row)]
-            coefficients = [
-                a + factor * b for a, b in zip(coefficients, transform)
-            ]
+            factors.append((factor, transform))
         leftover = next(
             (j for j, e in enumerate(residual) if not e.is_zero()), None
         )
         if leftover is None:
+            coefficients = [
+                Expr._sum_of_products(scope, [(f, t[i]) for f, t in factors])
+                for i in range(m)
+            ]
             for j in range(generators.cols):
-                acc = scope.zero
-                for i in range(m):
-                    acc = acc + coefficients[i] * generators.at(i, j)
-                if not (acc - target[j]).is_zero():
+                pairs = list(zip(coefficients, generators.col(j)))
+                pairs.append((scope.one, -target[j]))
+                if not Expr._sum_of_products(scope, pairs).is_zero():
                     raise LinalgError("span certificate failed validation")
             return SpanCertificate(
                 member=True,

@@ -348,7 +348,7 @@ class TestPolynomialPath:
         assert seen == {"+", "-", "*", "/", "diff"}
 
     @staticmethod
-    def _two_fields_and_solver(scope):
+    def _two_fields(scope):
         p = scope.parse
         first = VectorField(
             scope, {"t1": scope.one, "x1": p("x1/t1"), "x2": p("x2^2/(t1 + x3)")}
@@ -356,11 +356,13 @@ class TestPolynomialPath:
         second = VectorField(
             scope, {"t2": scope.one, "x1": p("(x3 - 1)/(t1*t2)"), "x3": p("x1*x2/t2")}
         )
-        # echelon's locus factoring (sm.factor_list) reads trees: not counted
-        solver = SpanSolver(
+        return first, second
+
+    @staticmethod
+    def _solver(first, second):
+        return SpanSolver(
             ExprMatrix.from_rows([first.coefficient_row(), second.coefficient_row()])
         )
-        return first, second, solver
 
     @staticmethod
     def _count_tree_reads(monkeypatch) -> list[str]:
@@ -378,7 +380,8 @@ class TestPolynomialPath:
 
     def test_kernel_free_work_builds_no_dense_poly(self, joint, monkeypatch):
         """Falling back to sympy's dense Poly fails here, not in a timing."""
-        first, second, solver = self._two_fields_and_solver(joint)
+        first, second = self._two_fields(joint)
+        solver = self._solver(first, second)
         built = []
         new = sm.Poly.new.__func__
 
@@ -393,9 +396,10 @@ class TestPolynomialPath:
         assert built == []
 
     def test_kernel_free_work_reads_no_trees(self, joint, monkeypatch):
-        """Brackets, span queries and printing stay on ring elements."""
-        first, second, solver = self._two_fields_and_solver(joint)
+        """Brackets, span solvers, queries and printing stay on ring elements."""
+        first, second = self._two_fields(joint)
         calls = self._count_tree_reads(monkeypatch)
+        solver = self._solver(first, second)
         bracket = first.bracket(second)
         certificate = solver.query(bracket.coefficient_row())
         printed = [e.print() for e in bracket.coefficient_row()]
@@ -437,7 +441,7 @@ class TestPolynomialPath:
         assert fallen_back[-1] == p("(x1 + x2)*(x3 - 1)")
 
     def test_kernel_work_reads_no_trees(self, joint, monkeypatch):
-        """Exp-bearing brackets, span queries and printing stay on ring elements.
+        """Exp-bearing brackets, solvers, queries and printing use ring elements.
 
         The fields' brackets merge kernels, clear kernel units from
         denominators and apply the chain rule with rational rates.
@@ -451,11 +455,8 @@ class TestPolynomialPath:
             joint,
             {"t2": joint.one, "x1": p("exp(t1 + t2)/t2"), "x3": p("x1*exp(-t2)")},
         )
-        # echelon's locus factoring (sm.factor_list) reads trees: not counted
-        solver = SpanSolver(
-            ExprMatrix.from_rows([first.coefficient_row(), second.coefficient_row()])
-        )
         calls = self._count_tree_reads(monkeypatch)
+        solver = self._solver(first, second)
         bracket = first.bracket(second)
         certificate = solver.query(bracket.coefficient_row())
         printed = [e.print() for e in bracket.coefficient_row()]
@@ -477,3 +478,62 @@ class TestPolynomialPath:
         divisor = scope.parse("x2 + 1")
         assert unexpanded / divisor == expanded / divisor
         assert unexpanded.diff("x1") == expanded.diff("x1")
+
+
+class TestSumOfProducts:
+    """``Expr._sum_of_products`` agrees with stepwise ``a*b + ...``."""
+
+    @staticmethod
+    def _stepwise(scope, pairs):
+        total = scope.zero
+        for a, b in pairs:
+            total = total + a * b
+        return total
+
+    def _check(self, scope, pairs):
+        expected = self._stepwise(scope, pairs)
+        result = Expr._sum_of_products(scope, pairs)
+        assert result == expected
+        assert result.print() == expected.print()
+        return result
+
+    @pytest.mark.parametrize("allow_exp", [False, True])
+    def test_random_sums_match_stepwise(self, joint, allow_exp):
+        rng = random.Random(41)
+        zeros = kernels = 0
+        for _ in range(60):
+            pairs = [
+                (
+                    random_rational_expr(rng, joint, 3, allow_exp),
+                    random_rational_expr(rng, joint, 3, allow_exp),
+                )
+                for _ in range(rng.randint(1, 4))
+            ]
+            if rng.random() < 0.3:
+                # split the negated sum over a shared factor, so it cancels to 0
+                factor = random_rational_expr(rng, joint, 2, allow_exp)
+                if not factor.is_zero():
+                    pairs.append((-self._stepwise(joint, pairs) / factor, factor))
+            result = self._check(joint, pairs)
+            zeros += result.is_zero()
+            kernels += result.has_kernels()
+        assert zeros >= 10
+        assert kernels >= 10 if allow_exp else kernels == 0
+
+    def test_kernel_products_merge(self, joint):
+        p = joint.parse
+        cases = [
+            [(p("exp(x1)"), p("exp(-x1)")), (joint.one, -joint.one)],
+            [(p("exp(x1)"), p("x2*exp(-x1)")), (p("x1"), p("exp(x2)/t1"))],
+            [(p("exp(x1)/(t1 + 1)"), p("exp(x2)")), (p("x3"), p("exp(x1 + x2)"))],
+            [(p("exp(t1)"), p("1/(exp(x1) + x2)")), (p("exp(x1 + t1)"), p("x1/t2"))],
+            [(p("x1/(x2 + 1)"), p("x3/t1")), (p("x2/t1"), p("x3/(x2 + 1)"))],
+        ]
+        results = [self._check(joint, pairs) for pairs in cases]
+        assert results[0].is_zero()
+        assert results[2] == p("(1/(t1 + 1) + x3)*exp(x1 + x2)")
+
+    def test_empty_and_zero_terms(self, joint):
+        x1 = joint.var("x1")
+        assert Expr._sum_of_products(joint, []) is joint.zero
+        assert Expr._sum_of_products(joint, [(joint.zero, x1), (x1, x1)]) == x1**2

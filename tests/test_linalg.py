@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from frobenius import expr
 from frobenius.expr import EvalError, Scope
 from frobenius.exterior import VectorField
 from frobenius.linalg import (
@@ -19,6 +20,7 @@ from frobenius.linalg import (
     merge_locus,
     sample_points,
     solve,
+    SpanSolver,
 )
 
 from conftest import random_polynomial
@@ -334,6 +336,59 @@ class TestInSpan:
             ]
             assert all((a - b).is_zero() for a, b in zip(combo, target))
             hits += 1
+
+
+class TestSpanSolverCertificates:
+    """Member certificates take one cancel per coefficient and are re-checked.
+
+    The family's pivots are the monomials x1, x2, x3, so its reduced rows
+    are polynomial and its transform is diag(1/x1, 1/x2, 1/x3).  Reducing
+    a polynomial target then needs no cancel; only the coefficients do.
+    """
+
+    ROWS = [
+        ["x1", "0", "0", "x1*x4^2 - 3*x1*x5 + x1", "2*x1*x4*x5 - x1^2"],
+        ["0", "x2", "0", "x2*x5^2 + x2*x4 - 7*x2", "x2^2*x4 - 5*x2*x5"],
+        ["0", "0", "x3", "4*x3*x4*x5 - x3^2 + x3", "x3*x4^2 - x3*x5^2"],
+    ]
+
+    @classmethod
+    def _solver_and_member(cls, scope):
+        generators = matrix_of(scope, cls.ROWS)
+        mix = [
+            scope.parse(text)
+            for text in ("(x4 + 2)/x1", "(x5^2 - x1)/x2", "3*x2*x4/x3")
+        ]
+        target = [
+            sum((mix[i] * generators.at(i, j) for i in range(3)), scope.zero)
+            for j in range(generators.cols)
+        ]
+        assert all(e.denominator().is_one() for e in target)
+        return SpanSolver(generators), mix, target
+
+    def test_member_query_cancels_once_per_coefficient(self, s5, monkeypatch):
+        solver, mix, target = self._solver_and_member(s5)
+        assert [c for _, c in solver.pivots] == [0, 1, 2]
+        calls = []
+        cofactors = expr._cofactors
+
+        def counting(f, g):
+            calls.append((f, g))
+            return cofactors(f, g)
+
+        monkeypatch.setattr(expr, "_cofactors", counting)
+        certificate = solver.query(target)
+        assert certificate.member
+        assert certificate.coefficients == mix
+        assert len(calls) <= solver.generators.rows
+
+    def test_tampered_transform_fails_validation(self, s5):
+        solver, _, target = self._solver_and_member(s5)
+        assert solver.query(target).member
+        _, transform, _, _ = solver.rows[1]
+        transform[1] = transform[1] + s5.one
+        with pytest.raises(LinalgError, match="span certificate failed validation"):
+            solver.query(target)
 
 
 def test_merge_locus_skips_constants_and_repeats(s5):
