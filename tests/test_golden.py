@@ -1,15 +1,20 @@
-"""Byte-for-byte `analyze --json` outputs, and `verify --json` agreeing with them.
+"""Byte-for-byte `analyze --json` and `convert --json` outputs.
 
-Each case runs `frobenius analyze <fixture> --json` with the fixture's sidecar
-integrals, plus a few invalid integrals (no sidecar holds one) so that every
-certificate field appears: residuals with an exact and a float witness value
-(td, pde) and a witness minor (pfaff).  To rewrite the stored outputs after an
-intended change of the report, run ``PYTHONPATH=src python tests/test_golden.py``.
+Each analyze case runs `frobenius analyze <fixture> --json` with the fixture's
+sidecar integrals, plus a few invalid integrals (no sidecar holds one) so that
+every certificate field appears: residuals with an exact and a float witness
+value (td, pde) and a witness minor (pfaff); `verify --json` must agree with
+it.  Each convert case runs `frobenius convert fixtures/<fixture>.dsys --to
+<target> --json` from the repository root, for every fixture and target; a
+pair with no stored output must still fail with an error.  Conversions lift
+values between scopes, which analyze does not.  To rewrite the stored outputs
+after an intended change, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -46,6 +51,13 @@ def _cases() -> dict[str, tuple[str, list[str]]]:
 
 CASES = _cases()
 
+TARGETS = ("td", "pde", "pfaff", "normal")
+CONVERSIONS = {
+    f"{path.stem}-to-{target}": (path.stem, target)
+    for path in sorted(FIXTURES.glob("*.dsys"))
+    for target in TARGETS
+}
+
 
 def _run(command: str, fixture: str, integrals: list[str]) -> str:
     argv = [command, str(FIXTURES / f"{fixture}.dsys"), "--json"]
@@ -55,6 +67,15 @@ def _run(command: str, fixture: str, integrals: list[str]) -> str:
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
     return out.getvalue()
+
+
+def _convert(fixture: str, target: str) -> tuple[int, str]:
+    """Exit code and stdout of a conversion; run from the repository root."""
+    argv = ["convert", f"fixtures/{fixture}.dsys", "--to", target, "--json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -72,9 +93,28 @@ def test_verify_entries_equal_analyze_entries(case):
     assert verified["integrals"] == analyzed["integrals"]
 
 
+@pytest.mark.parametrize("case", sorted(CONVERSIONS))
+def test_convert_json_matches_golden(case, monkeypatch):
+    monkeypatch.chdir(FIXTURES.parent)
+    code, text = _convert(*CONVERSIONS[case])
+    golden = GOLDEN / f"{case}.json"
+    if golden.exists():
+        assert (code, text) == (0, golden.read_text(encoding="utf-8"))
+    else:
+        assert code != 0 and text == ""
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, (fixture, integrals) in sorted(CASES.items()):
         (GOLDEN / f"{name}.json").write_text(
             _run("analyze", fixture, integrals), encoding="utf-8"
         )
+    os.chdir(FIXTURES.parent)
+    for name, (fixture, target) in sorted(CONVERSIONS.items()):
+        code, text = _convert(fixture, target)
+        golden = GOLDEN / f"{name}.json"
+        if code == 0:
+            golden.write_text(text, encoding="utf-8")
+        else:
+            golden.unlink(missing_ok=True)
