@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .expr import Expr, EvalError, Point, Scope
+from .expr import Expr, Point, Scope
 from .exterior import KForm, VectorField, differential
 from .linalg import (
     ExprMatrix,
@@ -26,6 +26,7 @@ from .linalg import (
     generic_rank,
     in_span,
     merge_locus,
+    nonzero_value,
     sample_points,
 )
 from .systems import (
@@ -385,22 +386,12 @@ def _nonzero_witness(
     """A sample point where some residual provably does not vanish."""
     nonzero = [r for r in residuals if not r.is_zero()]
     avoid = merge_locus([], (r.denominator() for r in nonzero))
-    import mpmath
-
     for attempt in range(8):
         for point in sample_points(scope, 4, seed=seed * 997 + attempt, avoid=avoid):
             for r in nonzero:
-                try:
-                    if r.has_kernels():
-                        value = r.eval_float(point, 256)
-                        if abs(value) > 1e-40:
-                            return point, mpmath.nstr(value, 20)
-                    else:
-                        value = r.eval_exact(point)
-                        if value != 0:
-                            return point, str(value)
-                except EvalError:
-                    continue
+                value = nonzero_value(r, point)
+                if value is not None:
+                    return point, value
     return None, None
 
 

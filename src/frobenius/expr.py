@@ -10,10 +10,10 @@ Storage: every expression stores its numerator and denominator as sparse
 polynomials (``PolyElement``) of one grlex ring over QQ, whose generators are
 the scope's declared variables, in declared order, and then exactly the
 kernels the value uses, in the scope's kernel order.  A kernel-free value's
-ring is ``Scope.ring``.  ``==``, ``hash``, printing, arithmetic and kernel
-normalization read these ring elements.  Sympy expression trees of the parts
-are built only on demand, for evaluation, substitution, lifting between
-scopes and locus factoring; ``Expr._canonical`` is the one reader of trees.
+ring is ``Scope.ring``.  These two ring elements are the only form of a
+value: ``==``, ``hash``, printing, arithmetic, lifting between scopes,
+substitution and evaluation all read them, no sympy expression tree is ever
+built, and ``Expr._from_polys`` is the one canonical tail.
 
 Canonical form invariants:
 
@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
+import mpmath
 import sympy as sm
 from sympy.polys.domains import QQ
 from sympy.polys.orderings import grlex
@@ -119,9 +120,6 @@ class _KernelTable:
     def argument(self, symbol: sm.Symbol) -> "Expr":
         return self._args[symbol]
 
-    def is_kernel(self, symbol: sm.Symbol) -> bool:
-        return symbol in self._args
-
 
 _KERNELS = _KernelTable()
 
@@ -193,8 +191,7 @@ class Scope:
         return Expr._of(self, self.ring.gens[self.index(name)], self.ring.one)
 
     def const(self, value: Rat) -> "Expr":
-        ground = self.ring.ground_new(QQ.from_sympy(sm.Rational(value)))
-        return Expr._of(self, ground, self.ring.one)
+        return Expr._of(self, self.ring.ground_new(_rational(value)), self.ring.one)
 
     def exp(self, argument: "Expr") -> "Expr":
         """The kernel exp(argument); merges with existing equal arguments."""
@@ -209,15 +206,17 @@ class Scope:
         return _Parser(text, self).parse()
 
     def lift(self, expr: "Expr") -> "Expr":
-        """Reinterpret an expression from another scope over this one."""
+        """Reinterpret an expression from another scope over this one.
+
+        ``Expr._from_polys`` redoes the sign, content and kernel order here.
+        """
         if expr.scope == self:
             return expr
-        for symbol in expr.variable_symbols():
-            if str(symbol) not in self._symbols:
-                raise ExprError(
-                    f"variable {symbol} not declared in target {self!r}"
-                )
-        return Expr._canonical(self, expr._num, expr._den)
+        for name in sorted(expr.variables()):
+            if name not in self._symbols:
+                raise ExprError(f"variable {name} not declared in target {self!r}")
+        ring = _ring(self.ring.symbols + expr._p.ring.symbols[len(expr.scope):])
+        return Expr._from_polys(self, expr._p.set_ring(ring), expr._q.set_ring(ring))
 
     def extended(self, extra: Sequence[str]) -> "Scope":
         return Scope(self._names + tuple(extra))
@@ -262,6 +261,11 @@ class Scope:
                     argument = argument + self._kernel_argument(kernel) * power
             products[powers] = None if argument.is_zero() else self._kernel(argument)
         return products[powers]
+
+
+def _rational(value: Rat):
+    """An int, Fraction or sympy Rational as an element of QQ."""
+    return QQ(int(value.numerator), int(value.denominator))
 
 
 _RINGS: dict[tuple[sm.Symbol, ...], PolyRing] = {}
@@ -345,10 +349,34 @@ def _kernel_part(f: PolyElement, position: int) -> PolyElement:
     return f.ring.from_dict({m: c for m, c in f.items() if m[position]})
 
 
+def _at_point(f: PolyElement, values: Sequence) -> dict[tuple, object]:
+    """{kernel monomial: exact coefficient} of f with the variables at values."""
+    n = len(values)
+    terms: dict[tuple, object] = {}
+    for monom, coeff in f.items():
+        for value, power in zip(values, monom):
+            if power:
+                coeff *= value**power
+        terms[monom[n:]] = terms.get(monom[n:], QQ.zero) + coeff
+    return terms
+
+
+def _substituted(scope: Scope, f: PolyElement, values: Sequence["Expr"]) -> "Expr":
+    """f with each generator of its ring replaced by the value at its position."""
+    pairs = []
+    for monom, coeff in f.items():
+        term = scope.one
+        for value, power in zip(values, monom):
+            if power:
+                term = term * value**power
+        pairs.append((scope.const(coeff), term))
+    return Expr._sum_of_products(scope, pairs)
+
+
 class Expr:
     """Immutable exact expression in canonical fractional form."""
 
-    __slots__ = ("_scope", "_p", "_q", "_trees", "_print_memo")
+    __slots__ = ("_scope", "_p", "_q", "_print_memo")
 
     def __init__(self, *args, **kwargs):
         raise TypeError("use Scope.parse/var/const or arithmetic to build Expr")
@@ -376,24 +404,8 @@ class Expr:
         self._scope = scope
         self._p = p
         self._q = q
-        self._trees = None
         self._print_memo = None
         return self
-
-    @property
-    def _num(self) -> sm.Expr:
-        return self._tree_parts()[0]
-
-    @property
-    def _den(self) -> sm.Expr:
-        return self._tree_parts()[1]
-
-    def _tree_parts(self) -> tuple[sm.Expr, sm.Expr]:
-        """Numerator and denominator trees, built on first use."""
-        trees = self._trees
-        if trees is None:
-            trees = self._trees = (self._p.as_expr(), self._q.as_expr())
-        return trees
 
     @classmethod
     def _from_polys(cls, scope: Scope, num: PolyElement, den: PolyElement) -> "Expr":
@@ -454,14 +466,6 @@ class Expr:
             return cls._of(scope, num, den)
         return cls._from_polys(scope, num, den)
 
-    @classmethod
-    def _canonical(cls, scope: Scope, num: sm.Expr, den: sm.Expr) -> "Expr":
-        """The canonical form of num/den, given as polynomial trees."""
-        symbols = num.free_symbols | den.free_symbols
-        kernels = tuple(s for s in symbols if _KERNELS.is_kernel(s))
-        ring = _ring(scope.ring.symbols + kernels)
-        return cls._from_polys(scope, ring.from_expr(num), ring.from_expr(den))
-
     # -- basic protocol --------------------------------------------------
 
     @property
@@ -492,22 +496,18 @@ class Expr:
         """The denominator, as a polynomial expression."""
         return Expr._of(self._scope, self._q, self._q.ring.one)
 
-    def variable_symbols(self) -> set[sm.Symbol]:
+    def variables(self) -> set[str]:
         scope = self._scope
-        ring = self._p.ring
-        symbols: set[sm.Symbol] = set()
+        names: set[str] = set()
         columns = zip(*self._p.keys(), *self._q.keys())
-        for i, (symbol, column) in enumerate(zip(ring.symbols, columns)):
+        for i, (symbol, column) in enumerate(zip(self._p.ring.symbols, columns)):
             if not any(column):
                 continue
             if i < len(scope):
-                symbols.add(symbol)
+                names.add(scope.names[i])
             else:
-                symbols |= scope._kernel_argument(symbol).variable_symbols()
-        return symbols
-
-    def variables(self) -> set[str]:
-        return {str(s) for s in self.variable_symbols()}
+                names |= scope._kernel_argument(symbol).variables()
+        return names
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Expr):
@@ -645,69 +645,65 @@ class Expr:
         return Expr._from_polys(scope, num, den)
 
     def subs(self, bindings: Mapping[str, "Expr"]) -> "Expr":
-        """Substitute expressions for variables; kernels re-normalize."""
+        """Substitute expressions for variables; kernels re-normalize.
+
+        Each kernel becomes ``scope.exp`` of its argument with the bindings
+        substituted.
+        """
         scope = self._scope
-        replacements: dict[sm.Symbol, sm.Expr] = {}
+        values = [scope.var(name) for name in scope.names]
         for name, value in bindings.items():
+            scope.symbol(name)
             if not isinstance(value, Expr):
                 value = scope.const(value)
-            if value._scope != scope:
-                value = scope.lift(value)
-            replacements[scope.symbol(name)] = value._num / value._den
-        kernel_map: dict[sm.Symbol, sm.Expr] = {}
+            values[scope.index(name)] = scope.lift(value)
         for kernel in self._p.ring.symbols[len(scope):]:
-            argument = scope._kernel_argument(kernel)
-            if not (argument.variables() & set(bindings)):
-                continue
-            new_argument = argument.subs(bindings)
-            if new_argument.has_kernels():
+            argument = scope._kernel_argument(kernel).subs(bindings)
+            if argument.has_kernels():
                 raise ExprError("substitution would nest exp inside exp")
-            if new_argument.is_zero():
-                kernel_map[kernel] = sm.Integer(1)
-            else:
-                kernel_map[kernel] = scope._kernel(new_argument)
-        num = self._num.xreplace(kernel_map).xreplace(replacements)
-        den = self._den.xreplace(kernel_map).xreplace(replacements)
-        num, den = sm.together(num / den).as_numer_denom()
-        return Expr._canonical(scope, sm.expand(num), sm.expand(den))
+            values.append(scope.exp(argument))
+        num = _substituted(scope, self._p, values)
+        return num / _substituted(scope, self._q, values)
 
     # -- evaluation ----------------------------------------------------------
 
     def eval_exact(self, point: "Point") -> Fraction:
         if self.has_kernels():
             raise EvalError("exact evaluation requires an exp-free expression")
-        subs = point.substitutions(self._scope)
-        den = self._den.xreplace(subs)
-        if den == 0:
+        values = _coordinates(point, self._scope)
+        num, den = (_at_point(f, values).get((), QQ.zero) for f in (self._p, self._q))
+        if not den:
             raise EvalError("denominator vanishes at the point")
-        num = self._num.xreplace(subs)
-        value = sm.Rational(num) / sm.Rational(den)
-        return Fraction(int(value.p), int(value.q))
+        value = num / den
+        return Fraction(int(value.numerator), int(value.denominator))
 
     def eval_float(self, point: "Point", precision_bits: int = 64):
-        import mpmath
-
+        """The value at point; kernels are ``mpmath.exp`` of exact arguments."""
         if precision_bits < 64:
             raise EvalError("float evaluation requires precision_bits >= 64")
-        subs = point.substitutions(self._scope)
-        expression = self.as_sympy_exp()
-        try:
-            with mpmath.workprec(precision_bits + 16):
-                value = sm.lambdify([], expression.xreplace(subs), "mpmath")()
-                if not mpmath.isfinite(value):
-                    raise EvalError("denominator vanishes at the point")
-        except ZeroDivisionError:
-            raise EvalError("denominator vanishes at the point") from None
+        scope = self._scope
+        values = _coordinates(point, scope)
+
+        def mpf(value):
+            return mpmath.mpf(int(value.numerator)) / int(value.denominator)
+
+        with mpmath.workprec(precision_bits + 16):
+            exps = [
+                mpmath.exp(mpf(scope._kernel_argument(kernel).eval_exact(point)))
+                for kernel in self._p.ring.symbols[len(scope):]
+            ]
+            num, den = (
+                mpmath.fsum(
+                    mpf(coeff) * mpmath.fprod(e**power for e, power in zip(exps, monom))
+                    for monom, coeff in _at_point(f, values).items()
+                )
+                for f in (self._p, self._q)
+            )
+            if not den:
+                raise EvalError("denominator vanishes at the point")
+            value = num / den
         with mpmath.workprec(precision_bits):
             return mpmath.mpf(value)
-
-    def as_sympy_exp(self) -> sm.Expr:
-        """Render with real sympy exp calls (for numeric work only)."""
-        mapping = {
-            k: sm.exp(_KERNELS.argument(k).as_sympy_exp())
-            for k in self._p.ring.symbols[len(self._scope):]
-        }
-        return (self._num / self._den).xreplace(mapping)
 
     # -- printing --------------------------------------------------------------
 
@@ -802,18 +798,16 @@ class Point:
 
     assignment: Mapping[str, Fraction]
 
-    def substitutions(self, scope: Scope) -> dict[sm.Symbol, sm.Rational]:
-        missing = set(scope.names) - set(self.assignment)
-        if missing:
-            raise EvalError(f"point does not assign {sorted(missing)}")
-        return {
-            scope.symbol(name): sm.Rational(value)
-            for name, value in self.assignment.items()
-            if name in scope
-        }
-
     def __getitem__(self, name: str) -> Fraction:
         return self.assignment[name]
+
+
+def _coordinates(point: Point, scope: Scope) -> list:
+    """The point's values of the scope's variables as QQ, in declared order."""
+    missing = set(scope.names) - set(point.assignment)
+    if missing:
+        raise EvalError(f"point does not assign {sorted(missing)}")
+    return [_rational(point[name]) for name in scope.names]
 
 
 class _Parser:

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import mpmath
+
 from .expr import Expr, ExprError, EvalError, Point, Scope, _cofactors
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "determinant",
     "merge_locus",
     "sample_points",
+    "nonzero_value",
 ]
 
 
@@ -515,15 +518,21 @@ def sample_points(
             for name in scope.names
         }
         point = Point(assignment)
-        if all(_nonzero_at(expr, point) for expr in avoid):
+        if all(nonzero_value(expr, point) is not None for expr in avoid):
             points.append(point)
     return points
 
 
-def _nonzero_at(expr: Expr, point: Point) -> bool:
+def nonzero_value(expr: Expr, point: Point) -> str | None:
+    """The printed value of expr at point, or None where it may vanish.
+
+    A kernel-bearing value is evaluated at 256 bits and counts above 1e-40.
+    """
     try:
         if expr.has_kernels():
-            return abs(expr.eval_float(point, 256)) > 1e-40
-        return expr.eval_exact(point) != 0
+            value = expr.eval_float(point, 256)
+            return mpmath.nstr(value, 20) if abs(value) > 1e-40 else None
+        value = expr.eval_exact(point)
     except EvalError:
-        return False
+        return None
+    return str(value) if value else None

@@ -13,11 +13,21 @@ from hypothesis import strategies as st
 from sympy.polys.polyerrors import HeuristicGCDFailed
 from sympy.polys.rings import PolyElement, PolyRing
 
-from frobenius.expr import EvalError, Expr, ParseError, Point, Scope
+from frobenius.analysis import analyze
+from frobenius.expr import (
+    EvalError,
+    Expr,
+    ExprError,
+    ParseError,
+    Point,
+    Scope,
+    _ring,
+)
 from frobenius.exterior import VectorField
 from frobenius.linalg import ExprMatrix, SpanSolver, _gcd_expr
 
-from conftest import random_point, random_rational_expr
+from conftest import load_fixture, random_point, random_rational_expr
+from test_golden import INVALID
 
 
 @pytest.fixture
@@ -25,12 +35,29 @@ def joint():
     return Scope(["t1", "t2", "x1", "x2", "x3"])
 
 
+def _trees(expr):
+    """An expression's numerator and denominator as sympy trees."""
+    return expr._p.as_expr(), expr._q.as_expr()
+
+
+def _from_trees(scope, num, den):
+    """The canonical form of num/den, given as polynomial trees.
+
+    The trees are over the scope's variables and interned kernel symbols, as
+    ``_trees`` builds them; they are read back into a ring on those symbols.
+    """
+    symbols = scope.ring.symbols
+    kernels = sorted((num.free_symbols | den.free_symbols) - set(symbols), key=str)
+    ring = _ring(symbols + tuple(kernels))
+    return Expr._from_polys(scope, ring.from_expr(num), ring.from_expr(den))
+
+
 class TestParsing:
     def test_rational_entry(self, joint):
         parsed = joint.parse("x1/t1 + t1*x2")
         direct = joint.var("x1") / joint.var("t1") + joint.var("t1") * joint.var("x2")
         assert parsed == direct
-        assert str(parsed._den) == "t1"
+        assert str(_trees(parsed)[1]) == "t1"
 
     def test_zero_literal(self, joint):
         assert joint.parse("0").is_zero()
@@ -188,6 +215,21 @@ class TestEvaluation:
         with pytest.raises(EvalError):
             joint.parse("x2/x1").eval_exact(point)
 
+    def test_vanishing_denominator_in_float_and_substitution(self, joint):
+        """A pole is an EvalError or ExprError, in a kernel's argument too."""
+        point = Point({name: Fraction(0) for name in joint.names})
+        for text in ("x2/x1", "1/(exp(x1) - 1)", "exp(1/x1) + x2"):
+            with pytest.raises(EvalError, match="denominator vanishes"):
+                joint.parse(text).eval_float(point)
+        for text, value in (("x2/x1", 0), ("exp(x2)/(x1 - 1)", 1)):
+            with pytest.raises(ExprError, match="division by zero"):
+                joint.parse(text).subs({"x1": value})
+
+    def test_lift_names_the_first_undeclared_variable(self, joint):
+        """In name order, so the message does not depend on set order."""
+        with pytest.raises(ExprError, match="variable t1 not declared"):
+            Scope(["x1"]).lift(joint.parse("x3*exp(t2) + t1*x2"))
+
     def test_zero_value_is_not_an_error(self):
         # rank-pivot callers must treat an exact 0 as a singular-locus hit
         scope = Scope(["x1", "x2", "x3"])
@@ -217,7 +259,7 @@ class TestCanonicalForm:
         rng = random.Random(23)
         for _ in range(200):
             expr = random_rational_expr(rng, scope, 6, allow_exp=True)
-            again = Expr._canonical(scope, expr._num, expr._den)
+            again = _from_trees(scope, *_trees(expr))
             assert again == expr
             assert again.print() == expr.print()
 
@@ -225,7 +267,7 @@ class TestCanonicalForm:
         scope = Scope(["x1", "x2"])
         expr = scope.parse("x1/(1 - x2)")
         assert expr == scope.parse("-x1/(x2 - 1)")
-        assert expr._den == (scope.var("x2") - scope.one)._num
+        assert _trees(expr)[1] == _trees(scope.var("x2") - scope.one)[0]
 
     def test_rational_constant_has_one_stored_form(self):
         scope = Scope(["x1"])
@@ -233,7 +275,7 @@ class TestCanonicalForm:
         via_sum = scope.parse("1/2 - x1") + scope.var("x1")
         assert via_sum == half and hash(via_sum) == hash(half)
         assert scope.parse("1/2") == half == scope.parse("x1/2").diff("x1")
-        assert (half._num, half._den) == (sm.Rational(1, 2), 1)
+        assert _trees(half) == (sm.Rational(1, 2), 1)
 
     def test_leading_sign_follows_grlex_order(self):
         scope = Scope(["x1", "x2"])
@@ -279,18 +321,19 @@ class TestPolynomialPath:
 
     @staticmethod
     def _tree_cases(a, b, var):
+        (an, ad), (bn, bd) = _trees(a), _trees(b)
         cases = {
-            "+": (a + b, a._num * b._den + b._num * a._den, a._den * b._den),
-            "-": (a - b, a._num * b._den - b._num * a._den, a._den * b._den),
-            "*": (a * b, a._num * b._num, a._den * b._den),
+            "+": (a + b, an * bd + bn * ad, ad * bd),
+            "-": (a - b, an * bd - bn * ad, ad * bd),
+            "*": (a * b, an * bn, ad * bd),
             "diff": (
                 a.diff(var),
-                sm.diff(a._num, var) * a._den - a._num * sm.diff(a._den, var),
-                a._den * a._den,
+                sm.diff(an, var) * ad - an * sm.diff(ad, var),
+                ad * ad,
             ),
         }
         if not b.is_zero():
-            cases["/"] = (a / b, a._num * b._den, a._den * b._num)
+            cases["/"] = (a / b, an * bd, ad * bn)
         return cases
 
     def test_matches_tree_canonicalisation(self):
@@ -303,28 +346,28 @@ class TestPolynomialPath:
             b = random_rational_expr(rng, scope, 4)
             var = rng.choice(scope.names)
             for op, (result, num, den) in self._tree_cases(a, b, var).items():
-                tree = Expr._canonical(scope, num, den)
+                tree = _from_trees(scope, num, den)
                 assert result == tree, op
-                assert (result._num, result._den) == (tree._num, tree._den), op
+                assert _trees(result) == _trees(tree), op
                 assert result.print() == tree.print(), op
                 # kernel-free results hold elements of the scope's one ring,
-                # which agree with the lazily built trees as the sparse ring
-                # and, term by term, as sympy's dense Poly read them
+                # which agree with their trees as the sparse ring and, term
+                # by term, as sympy's dense Poly read them
                 assert result._p.ring is ring and result._q.ring is ring, op
-                for part, poly in ((result._num, result._p), (result._den, result._q)):
+                for part, poly in zip(_trees(result), (result._p, result._q)):
                     assert poly == ring.from_expr(part), op
                     dense = sm.Poly(part, *ring.symbols, domain="QQ")
                     assert {m: sm.Rational(c) for m, c in poly.items()} == {
                         m: c for m, c in dense.terms() if c
                     }, op
-                if a._den != 1 or b._den != 1:
+                if _trees(a)[1] != 1 or _trees(b)[1] != 1:
                     seen.add(op)
         assert seen == {"+", "-", "*", "/", "diff"}
 
     def test_results_are_canonical_by_generic_sympy(self):
         """An oracle for the ring tail that uses only sympy's generic functions.
 
-        Since ``_canonical`` ends in the same ring tail, comparing with it
+        Since ``_from_trees`` ends in the same ring tail, comparing with it
         checks the engine against itself; here each result is checked against
         its unreduced tree with ``sm.gcd``, ``sm.Poly`` and ``sm.expand``.
         """
@@ -337,13 +380,14 @@ class TestPolynomialPath:
             b = random_rational_expr(rng, scope, 4)
             var = rng.choice(scope.names)
             for op, (result, num, den) in self._tree_cases(a, b, var).items():
-                assert not sm.gcd(result._num, result._den).free_symbols, op
-                den_poly = sm.Poly(result._den, *gens, domain="QQ")
+                result_num, result_den = _trees(result)
+                assert not sm.gcd(result_num, result_den).free_symbols, op
+                den_poly = sm.Poly(result_den, *gens, domain="QQ")
                 coeffs = den_poly.coeffs()
                 assert all(c.is_integer for c in coeffs), op
                 assert math.gcd(*(int(c) for c in coeffs)) == 1, op
                 assert den_poly.terms(order="grlex")[0][1] > 0, op
-                assert sm.expand(result._num * den - num * result._den) == 0, op
+                assert sm.expand(result_num * den - num * result_den) == 0, op
                 seen.add(op)
         assert seen == {"+", "-", "*", "/", "diff"}
 
@@ -366,14 +410,20 @@ class TestPolynomialPath:
 
     @staticmethod
     def _count_tree_reads(monkeypatch) -> list[str]:
-        """Record every later ``from_expr`` and ``as_expr`` call."""
+        """Record every later ``from_expr``, ``as_expr``, ``lambdify`` and
+        ``together`` call."""
         calls = []
-        for owner, name in ((PolyRing, "from_expr"), (PolyElement, "as_expr")):
+        for owner, name in (
+            (PolyRing, "from_expr"),
+            (PolyElement, "as_expr"),
+            (sm, "lambdify"),
+            (sm, "together"),
+        ):
             original = getattr(owner, name)
 
-            def counting(self, *args, _original=original, _name=name):
+            def counting(*args, _original=original, _name=name, **kwargs):
                 calls.append(_name)
-                return _original(self, *args)
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counting)
         return calls
@@ -467,12 +517,60 @@ class TestPolynomialPath:
         assert certificate.witness_minor.has_kernels() and all(printed)
         assert calls == []
 
+    def test_lift_subs_and_evaluation_read_no_trees(self, monkeypatch):
+        """Lifting across scopes, substitution and evaluation use ring elements."""
+        source, target = Scope(["x", "y"]), Scope(["z", "y", "x"])
+        p = source.parse
+        values = [
+            p("exp(x + y)/(exp(x - y) + x) - 3/2*y*exp(2*x)"),
+            p("(x^2 - y)/(exp(y) - x*exp(x - y))"),
+        ]
+        bindings = {"x": p("2*y - 1"), "y": 3}
+        point = Point({"x": Fraction(1, 3), "y": Fraction(-2, 5)})
+        exact = p("(x^2 - y)/(x + 1)")
+        fixture = load_fixture("ex_1_3")
+        _, integrals = INVALID["ex_1_3-kernels"]
+        candidates = [fixture.scope.parse(text) for text in integrals]
+        steps = {
+            "lift": lambda: [target.lift(value) for value in values],
+            "subs": lambda: [value.subs(bindings) for value in values],
+            "eval_float": lambda: [value.eval_float(point, 128) for value in values],
+            "eval_exact": lambda: exact.eval_exact(point),
+            "analyze": lambda: analyze(fixture, candidates),
+        }
+        calls = self._count_tree_reads(monkeypatch)
+        results = {}
+        for name, step in steps.items():
+            results[name] = step()
+            assert calls == [], name
+        lifted, substituted, floats, rational, report = results.values()
+        # the strings were printed by the tree-based reader these replace
+        assert [str(value) for value in lifted] == [
+            "(-3/2*y*x*exp(2*x) - 3/2*y*exp(-y + 3*x) + exp(y + x))"
+            "/(x + exp(-y + x))",
+            "(-1*x^2*exp(y - x) + y*exp(y - x))/(x - exp(2*y - x))",
+        ]
+        assert [str(value) for value in substituted] == [
+            "(-9*y*exp(4*y - 2) + exp(2*y + 2) + 9/2*exp(4*y - 2)"
+            " - 9/2*exp(6*y - 6))/(2*y + exp(2*y - 4) - 1)",
+            "(-4*y^2*exp(-2*y + 4) + 4*y*exp(-2*y + 4) + 2*exp(-2*y + 4))"
+            "/(2*y - exp(-2*y + 7) - 1)",
+        ]
+        assert [mpmath.nstr(value, 25) for value in floats] == [
+            "1.555959000370849309692407",
+            "-21.58136637167833768969028",
+        ]
+        assert rational == Fraction(23, 60)
+        assert [target.parse(str(value)) for value in lifted] == lifted
+        assert [c.valid for c in report.integrals] == [False, False]
+        assert all(c.witness_value for c in report.integrals)
+
     def test_unexpanded_part_still_reads_correctly(self):
         scope = Scope(["x1", "x2"])
         x, y = scope.symbol("x1"), scope.symbol("x2")
-        unexpanded = Expr._canonical(scope, x * (x + y), sm.Integer(1))
+        unexpanded = _from_trees(scope, x * (x + y), sm.Integer(1))
         assert unexpanded._p == scope.ring.from_expr(x**2 + x * y)
-        assert unexpanded._q == 1 and unexpanded._num == x**2 + x * y
+        assert unexpanded._q == 1 and _trees(unexpanded)[0] == x**2 + x * y
         expanded = scope.parse("x1^2 + x1*x2")
         assert unexpanded == expanded and hash(unexpanded) == hash(expanded)
         divisor = scope.parse("x2 + 1")
