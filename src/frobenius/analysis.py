@@ -15,7 +15,7 @@ m - defect for Pfaff systems (n when m = n).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .expr import Expr, Point, Scope
 from .exterior import KForm, VectorField, differential
@@ -24,7 +24,6 @@ from .linalg import (
     SpanCertificate,
     SpanSolver,
     generic_rank,
-    in_span,
     merge_locus,
     nonzero_value,
     sample_points,
@@ -79,7 +78,11 @@ def _orient(field_: VectorField) -> tuple[VectorField, bool]:
 
 @dataclass
 class CompletenessResult:
-    """Outcome of a pairwise bracket test with validated certificates."""
+    """Outcome of a pairwise bracket test with validated certificates.
+
+    ``brackets`` holds every bracket the test computed, by operator index
+    pair, so a closure of the same family need not compute them again.
+    """
 
     complete: bool
     jacobian: bool
@@ -87,15 +90,17 @@ class CompletenessResult:
     witness_pair: tuple[int, int] | None = None
     witness_bracket: VectorField | None = None
     excluded: list[Expr] = field(default_factory=list)
+    brackets: dict[tuple[int, int], VectorField] = field(default_factory=dict)
 
 
 def frobenius_td(td: TdSystem) -> CompletenessResult:
     """Complete solvability: all pairwise brackets must vanish."""
     operators = td_to_pde(td, "nonautonomous").operators
     certificates: dict[tuple[int, int], SpanCertificate] = {}
+    brackets: dict[tuple[int, int], VectorField] = {}
     for i in range(len(operators)):
         for j in range(i + 1, len(operators)):
-            bracket = operators[i].bracket(operators[j])
+            bracket = brackets[(i, j)] = operators[i].bracket(operators[j])
             if bracket.is_zero():
                 certificates[(i, j)] = SpanCertificate(
                     member=True,
@@ -108,8 +113,9 @@ def frobenius_td(td: TdSystem) -> CompletenessResult:
                 certificates=certificates,
                 witness_pair=(i, j),
                 witness_bracket=bracket,
+                brackets=brackets,
             )
-    return CompletenessResult(True, True, certificates)
+    return CompletenessResult(True, True, certificates, brackets=brackets)
 
 
 def pde_completeness(pde: PdeSystem) -> CompletenessResult:
@@ -118,10 +124,11 @@ def pde_completeness(pde: PdeSystem) -> CompletenessResult:
     solver: SpanSolver | None = None
     certificates: dict[tuple[int, int], SpanCertificate] = {}
     excluded: list[Expr] = []
+    brackets: dict[tuple[int, int], VectorField] = {}
     jacobian = True
     for i in range(len(operators)):
         for j in range(i + 1, len(operators)):
-            bracket = operators[i].bracket(operators[j])
+            bracket = brackets[(i, j)] = operators[i].bracket(operators[j])
             if bracket.is_zero():
                 certificates[(i, j)] = SpanCertificate(
                     member=True, coefficients=[pde.scope.zero] * len(operators)
@@ -142,8 +149,11 @@ def pde_completeness(pde: PdeSystem) -> CompletenessResult:
                     witness_pair=(i, j),
                     witness_bracket=witness,
                     excluded=excluded,
+                    brackets=brackets,
                 )
-    return CompletenessResult(True, jacobian, certificates, excluded=excluded)
+    return CompletenessResult(
+        True, jacobian, certificates, excluded=excluded, brackets=brackets
+    )
 
 
 @dataclass
@@ -181,15 +191,23 @@ class ClosureResult:
     capped: bool = False
 
 
-def bracket_closure(pde: PdeSystem, max_generators: int | None = None) -> ClosureResult:
+def bracket_closure(
+    pde: PdeSystem,
+    max_generators: int | None = None,
+    *,
+    brackets: Mapping[tuple[int, int], VectorField] | None = None,
+) -> ClosureResult:
     """Add failing brackets as generators until complete (or capped).
 
     Pairs are scanned in lexicographic order over the current generator list
     and rescanned from the start after every addition; membership survives
     span growth, so resolved pairs are cached.  Added operators are sign
     normalized (first nonzero coefficient leads positive); a negated step
-    records the reversed bracket order.
+    records the reversed bracket order.  ``brackets`` may hold brackets of
+    pde's operators already computed, by index pair (as a
+    ``CompletenessResult`` keeps them); each pair is bracketed at most once.
     """
+    known = brackets or {}
     scope = pde.scope
     cap = max_generators if max_generators is not None else len(scope)
     cap = max(cap, pde.m)
@@ -208,7 +226,9 @@ def bracket_closure(pde: PdeSystem, max_generators: int | None = None) -> Closur
             for j in range(i + 1, len(generators)):
                 if (i, j) in resolved:
                     continue
-                bracket = generators[i].bracket(generators[j])
+                bracket = known.get((i, j))
+                if bracket is None:
+                    bracket = generators[i].bracket(generators[j])
                 if bracket.is_zero():
                     resolved.add((i, j))
                     continue
@@ -363,7 +383,7 @@ def verify_first_integral(
         )
     pf = system.pfaff
     target = differential(integral).coefficient_row()
-    certificate = in_span(target, pf.coefficient_matrix())
+    certificate = pf.span_solver.query(target)
     if certificate.member:
         return IntegralCertificate(
             integral,
@@ -516,10 +536,12 @@ def analyze(
     witness = None
     jacobian: bool | None = None
     family: PdeSystem | None = None
+    brackets: dict[tuple[int, int], VectorField] = {}  # of the family's pairs
 
     if system.kind == "td":
         rank_ok = True
         check = frobenius_td(system.td)
+        brackets = check.brackets
         verdict_name, verdict = "solvable", check.complete
         jacobian = check.complete
         if check.witness_bracket is not None:
@@ -527,6 +549,7 @@ def analyze(
     elif system.kind == "pde":
         rank_ok = system.pde.validate_rank()
         check = pde_completeness(system.pde)
+        brackets = check.brackets
         verdict_name, verdict = "complete", check.complete
         jacobian = check.jacobian
         merge_locus(excluded, check.excluded)
@@ -544,13 +567,17 @@ def analyze(
         elif check.completeness and check.completeness.witness_bracket is not None:
             witness = check.completeness.witness_bracket.print()
         family = check.family  # its locus is in check.excluded
+        if check.completeness is not None:
+            brackets = check.completeness.brackets
 
     if family is None:
         family, family_excluded = operator_family(system)
         merge_locus(excluded, family_excluded)
     defect, added, capped = 0, [], False
     if family is not None:
-        closure = bracket_closure(family, max_generators=max_generators)
+        closure = bracket_closure(
+            family, max_generators=max_generators, brackets=brackets
+        )
         merge_locus(excluded, closure.excluded)
         defect, added, capped = closure.defect, closure.added, closure.capped
     dimension, note = dimension_from_defect(system, defect)

@@ -361,6 +361,19 @@ def _at_point(f: PolyElement, values: Sequence) -> dict[tuple, object]:
     return terms
 
 
+def _by_exponent(f: PolyElement, values: Sequence, rates: Sequence) -> dict:
+    """{s: c} with f at the point equal to the sum of c*exp(s), each c nonzero.
+
+    values are the variables' coordinates and rates the kernels' arguments
+    at the point, all in QQ.
+    """
+    sums: dict = {}
+    for kernels, coeff in _at_point(f, values).items():
+        s = sum((power * rate for power, rate in zip(kernels, rates)), QQ.zero)
+        sums[s] = sums.get(s, QQ.zero) + coeff
+    return {s: c for s, c in sums.items() if c}
+
+
 def _substituted(scope: Scope, f: PolyElement, values: Sequence["Expr"]) -> "Expr":
     """f with each generator of its ring replaced by the value at its position."""
     pairs = []
@@ -432,17 +445,15 @@ class Expr:
         den = den.quo_ground(content)
         return cls._of(scope, num, den)
 
-    @classmethod
-    def _sum_of_products(
-        cls, scope: Scope, pairs: Iterable[tuple["Expr", "Expr"]]
-    ) -> "Expr":
-        """The canonical form of the sum of a*b over pairs of the scope.
+    @staticmethod
+    def _product_groups(
+        scope: Scope, pairs: Iterable[tuple["Expr", "Expr"]]
+    ) -> tuple[PolyRing, list[tuple[PolyElement, PolyElement]]]:
+        """The joint ring of the products a*b, and their (den, num) groups.
 
         The products are formed on ring elements in the operands' joint
-        ring, and products with equal denominators are summed as
-        polynomials.  Each such group's numerator is then multiplied by the
-        other groups' denominators, and one ``_from_polys`` call merges the
-        kernels and cancels once.  A sum that is zero returns before any gcd.
+        ring, without cancelling, and products with equal denominators are
+        summed as polynomials.  Groups whose numerators sum to 0 are dropped.
         """
         pairs = [(a, b) for a, b in pairs if not (a.is_zero() or b.is_zero())]
         n = len(scope)
@@ -453,18 +464,60 @@ class Expr:
             p, q, r, s = (part.set_ring(ring) for part in (a._p, a._q, b._p, b._q))
             den = q * s
             groups[den] = groups.get(den, ring.zero) + p * r
-        nonzero = [(den, num) for den, num in groups.items() if num]
-        if not nonzero:
-            return scope.zero
-        den, num = nonzero[0]
-        for group_den, group_num in nonzero[1:]:
-            num, den = num * group_den + group_num * den, den * group_den
+        return ring, [(den, num) for den, num in groups.items() if num]
+
+    @classmethod
+    def _summed(
+        cls, scope: Scope, ring: PolyRing, num: PolyElement, den: PolyElement
+    ) -> "Expr":
+        """The canonical form of a merged sum num/den in ring."""
         if not num:
             return scope.zero
         if den.is_one and ring is scope.ring:
             # a kernel-free polynomial is canonical
             return cls._of(scope, num, den)
         return cls._from_polys(scope, num, den)
+
+    @classmethod
+    def _sum_of_products(
+        cls, scope: Scope, pairs: Iterable[tuple["Expr", "Expr"]]
+    ) -> "Expr":
+        """The canonical form of the sum of a*b over pairs of the scope.
+
+        Each ``_product_groups`` group's numerator is multiplied by the
+        other groups' denominators, and one ``_from_polys`` call merges the
+        kernels and cancels once.  A sum that is zero returns before any gcd,
+        which suits the self-checks of certificates: their sums are zero.
+        """
+        ring, groups = cls._product_groups(scope, pairs)
+        if not groups:
+            return scope.zero
+        den, num = groups[0]
+        for group_den, group_num in groups[1:]:
+            num, den = num * group_den + group_num * den, den * group_den
+        return cls._summed(scope, ring, num, den)
+
+    @classmethod
+    def _sum_over_lcm(
+        cls, scope: Scope, pairs: Iterable[tuple["Expr", "Expr"]]
+    ) -> "Expr":
+        """The canonical form of the sum of a*b, merged over the lcm.
+
+        The ``_product_groups`` groups merge one at a time: with den = g*a
+        and group_den = g*b, g = gcd(den, group_den), the sum is
+        (num*b + group_num*a)/(den*b).  That costs one gcd of two
+        denominators per merge and one cancel at the end, and keeps the
+        merged denominator from growing by the shared factors.  Sums of
+        polynomials need no gcd at all.
+        """
+        ring, groups = cls._product_groups(scope, pairs)
+        if not groups:
+            return scope.zero
+        den, num = groups[0]
+        for group_den, group_num in groups[1:]:
+            _, a, b = _cofactors(den, group_den)
+            num, den = num * b + group_num * a, den * b
+        return cls._summed(scope, ring, num, den)
 
     # -- basic protocol --------------------------------------------------
 
@@ -677,30 +730,52 @@ class Expr:
         value = num / den
         return Fraction(int(value.numerator), int(value.denominator))
 
-    def eval_float(self, point: "Point", precision_bits: int = 64):
-        """The value at point; kernels are ``mpmath.exp`` of exact arguments."""
-        if precision_bits < 64:
-            raise EvalError("float evaluation requires precision_bits >= 64")
+    def _exponential_sums(self, point: "Point") -> tuple[dict, dict]:
+        """Numerator and denominator at point, each as {s: c}: sum(c*exp(s)).
+
+        At a rational point every kernel's argument is a rational s, so each
+        part is a sum of c*exp(s) with rational c.  By Lindemann-Weierstrass,
+        the exponentials of distinct algebraic numbers are linearly
+        independent over the algebraic numbers, so a part is 0 exactly when
+        each c is, that is when its dict is empty.  Raises EvalError at a
+        pole.
+        """
         scope = self._scope
         values = _coordinates(point, scope)
+        rates = [
+            _rational(scope._kernel_argument(kernel).eval_exact(point))
+            for kernel in self._p.ring.symbols[len(scope):]
+        ]
+        num, den = (_by_exponent(f, values, rates) for f in (self._p, self._q))
+        if not den:
+            raise EvalError("denominator vanishes at the point")
+        return num, den
+
+    def vanishes_at(self, point: "Point") -> bool:
+        """Whether the value at point is exactly 0, kernels included.
+
+        Decided in QQ alone (see ``_exponential_sums``); raises EvalError
+        at a pole.
+        """
+        return not self._exponential_sums(point)[0]
+
+    def eval_float(self, point: "Point", precision_bits: int = 64):
+        """The value at point; kernels are ``mpmath.exp`` of exact arguments.
+
+        Poles are decided exactly, and raise EvalError.
+        """
+        if precision_bits < 64:
+            raise EvalError("float evaluation requires precision_bits >= 64")
+        exact = self._exponential_sums(point)
 
         def mpf(value):
             return mpmath.mpf(int(value.numerator)) / int(value.denominator)
 
         with mpmath.workprec(precision_bits + 16):
-            exps = [
-                mpmath.exp(mpf(scope._kernel_argument(kernel).eval_exact(point)))
-                for kernel in self._p.ring.symbols[len(scope):]
-            ]
             num, den = (
-                mpmath.fsum(
-                    mpf(coeff) * mpmath.fprod(e**power for e, power in zip(exps, monom))
-                    for monom, coeff in _at_point(f, values).items()
-                )
-                for f in (self._p, self._q)
+                mpmath.fsum(mpf(c) * mpmath.exp(mpf(s)) for s, c in part.items())
+                for part in exact
             )
-            if not den:
-                raise EvalError("denominator vanishes at the point")
             value = num / den
         with mpmath.workprec(precision_bits):
             return mpmath.mpf(value)

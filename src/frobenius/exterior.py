@@ -5,6 +5,17 @@ sparsely (variable name -> nonzero coefficient).  A :class:`KForm` is an
 exterior form of uniform degree with strictly increasing index tuples; sign
 normalization happens eagerly at construction so zero-testing is a map
 emptiness check.
+
+One cancel per bracket coefficient: with kernel-free operands,
+``VectorField.apply`` and each coefficient of ``VectorField.bracket`` are
+one sum of products, formed on ring elements, grouped by denominator and
+merged over the lcm, and cancelled once (``Expr._sum_over_lcm``); sums of
+polynomials need no gcd.  Kernel-bearing operands are the exception and sum
+stepwise, one cancel per product and per partial sum.  Kernels with
+commensurable arguments (``exp(x)``, ``exp(2*x)``) are independent
+generators, so such a value's stored fraction may stay unreduced and its
+printed form depends on the order of the operations; the stepwise order is
+the one the printed outputs pin.
 """
 
 from __future__ import annotations
@@ -83,25 +94,58 @@ class VectorField:
     def __hash__(self) -> int:
         return hash((self._scope, frozenset(self._coefficients.items())))
 
+    def _has_kernels(self) -> bool:
+        return any(c.has_kernels() for c in self._coefficients.values())
+
+    def _terms(self, expression: Expr) -> list[tuple[Expr, Expr]]:
+        """The pairs (c_i, d(expression)/d x_i) of the directional derivative."""
+        return [
+            (coeff, expression.diff(name)) for name, coeff in self._coefficients.items()
+        ]
+
     def apply(self, expression: Expr) -> Expr:
-        """Directional derivative sum(c_i * d(expression)/d x_i)."""
+        """Directional derivative sum(c_i * d(expression)/d x_i).
+
+        Kernel-free, it is one sum with one cancel; kernel-bearing, the
+        documented stepwise sum (see the module docstring).
+        """
         if expression.scope != self._scope:
             expression = self._scope.lift(expression)
+        if not (expression.has_kernels() or self._has_kernels()):
+            return Expr._sum_over_lcm(self._scope, self._terms(expression))
         result = self._scope.zero
-        for name, coeff in self._coefficients.items():
-            result = result + coeff * expression.diff(name)
+        for coeff, partial in self._terms(expression):
+            result = result + coeff * partial
         return result
 
     def bracket(self, other: "VectorField") -> "VectorField":
-        """Commutator [self, other] as a first-order operator."""
+        """Commutator [self, other] as a first-order operator.
+
+        Its k-th coefficient is sum(X_i dY_k/dx_i) - sum(Y_i dX_k/dx_i).  With
+        kernel-free operands each coefficient is one sum of those 2n products
+        over the lcm of their denominators, with one cancel
+        (``Expr._sum_over_lcm``); polynomial operands need no gcd at all.
+        Kernel-bearing operands take the stepwise path
+        ``self.apply(Y_k) - other.apply(X_k)``, whose unreduced forms over
+        commensurable kernels are the printed ones.
+        """
         if other.scope != self._scope:
             raise ExprError("scope mismatch in bracket")
         names = set(self._coefficients) | set(other._coefficients)
         coefficients = {}
-        for name in names:
-            coefficients[name] = self.apply(other.coefficient(name)) - other.apply(
-                self.coefficient(name)
-            )
+        if self._has_kernels() or other._has_kernels():
+            for name in names:
+                coefficients[name] = self.apply(other.coefficient(name)) - other.apply(
+                    self.coefficient(name)
+                )
+        else:
+            negated = -other
+            for name in names:
+                coefficients[name] = Expr._sum_over_lcm(
+                    self._scope,
+                    self._terms(other.coefficient(name))
+                    + negated._terms(self.coefficient(name)),
+                )
         return VectorField(self._scope, coefficients)
 
     def __add__(self, other: "VectorField") -> "VectorField":

@@ -524,14 +524,17 @@ def sample_points(
 
 
 def nonzero_value(expr: Expr, point: Point) -> str | None:
-    """The printed value of expr at point, or None where it may vanish.
+    """The printed value of expr at point, or None where it vanishes or has
+    a pole.
 
-    A kernel-bearing value is evaluated at 256 bits and counts above 1e-40.
+    Both are decided exactly (``Expr.vanishes_at``); a kernel-bearing value
+    is printed from its evaluation at 256 bits.
     """
     try:
         if expr.has_kernels():
-            value = expr.eval_float(point, 256)
-            return mpmath.nstr(value, 20) if abs(value) > 1e-40 else None
+            if expr.vanishes_at(point):
+                return None
+            return mpmath.nstr(expr.eval_float(point, 256), 20)
         value = expr.eval_exact(point)
     except EvalError:
         return None

@@ -10,6 +10,7 @@ excluded locus attached to the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .expr import Expr, ExprError, Scope
@@ -17,9 +18,9 @@ from .exterior import KForm, VectorField, differential
 from .linalg import (
     ExprMatrix,
     LinalgError,
+    SpanSolver,
     echelon,
     generic_rank,
-    in_span,
     invert,
     merge_locus,
 )
@@ -210,6 +211,11 @@ class PfaffSystem:
 
     def coefficient_matrix(self) -> ExprMatrix:
         return ExprMatrix.from_rows([form.coefficient_row() for form in self.forms])
+
+    @cached_property
+    def span_solver(self) -> SpanSolver:
+        """The solver of span queries against the forms, built once."""
+        return SpanSolver(self.coefficient_matrix())
 
     def validate_rank(self) -> bool:
         return generic_rank(self.coefficient_matrix()) == self.m
@@ -475,14 +481,13 @@ def pfaff_reduce_by_integrals(
     scope = pf.scope
     if not integrals:
         return pf, []
-    matrix = pf.coefficient_matrix()
     excluded: list[Expr] = []
     expansion_rows: list[list[Expr]] = []
     for integral in integrals:
         target = [
             scope.lift(c) for c in differential(scope.lift(integral)).coefficient_row()
         ]
-        certificate = in_span(target, matrix)
+        certificate = pf.span_solver.query(target)
         if not certificate.member:
             raise SystemError(
                 f"{integral} is not a first integral of the Pfaff system"

@@ -366,6 +366,45 @@ class TestAnalyze:
         assert payload["verdict"] == {"solvable": False}
 
 
+class TestBracketReuse:
+    """``analyze`` brackets each operator pair once: the closure reuses the
+    brackets that the solvability, completeness or closure check computed."""
+
+    @pytest.mark.parametrize("name", ["ex_1_3", "ex_2_10", "ex_2_32", "ex_4_6"])
+    def test_each_pair_is_bracketed_once(self, name, monkeypatch):
+        calls = []
+        bracket = VectorField.bracket
+
+        def counting(self, other):
+            calls.append((self, other))
+            return bracket(self, other)
+
+        monkeypatch.setattr(VectorField, "bracket", counting)
+        report = analyze(load_fixture(name))
+        assert calls and len(calls) == len(set(calls))
+        assert report.defect == len(report.added_generators)
+
+    def test_pfaff_integrals_share_one_span_solver(self, monkeypatch):
+        import frobenius.systems as systems
+
+        built = []
+
+        class Counting(systems.SpanSolver):
+            def __init__(self, generators):
+                built.append(generators)
+                super().__init__(generators)
+
+        monkeypatch.setattr(systems, "SpanSolver", Counting)
+        system = load_fixture("ex_4_1")
+        scope = system.scope
+        verdicts = [
+            verify_first_integral(system, scope.parse(text)).valid
+            for text in ("2*x1^2 + (x3 + x4)^2", "x1", "x2*x3")
+        ]
+        assert verdicts == [True, False, False]
+        assert len(built) == 1
+
+
 class TestDimensionBounds:
     def test_valid_independent_integrals_never_exceed_dimension(self):
         import property_suites as suites

@@ -84,6 +84,21 @@ class TestVerify:
         payload = json.loads(result.stdout)
         assert payload["integrals"][0]["multipliers"] == ["y*z^2"]
 
+    def test_tiny_kernel_value_gets_a_witness_point(self):
+        """A residual below any float threshold is still provably nonzero."""
+        result = run_cli(
+            "verify",
+            str(FIXTURES / "ex_1_7.dsys"),
+            "--json",
+            "--integral",
+            "exp(-100)*x1",
+        )
+        assert result.returncode == 0
+        entry = json.loads(result.stdout)["integrals"][0]
+        assert entry["verdict"] == "invalid"
+        assert entry["witness_point"]
+        assert entry["witness_value"].endswith("e-44")
+
     def test_kernel_order_does_not_depend_on_process_history(self):
         """Kernels interned earlier in the process must not reorder output."""
         script = (

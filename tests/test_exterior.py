@@ -148,6 +148,152 @@ class TestBracket:
         assert VectorField(scope, coeffs) == field
 
 
+class TestOneCancelSum:
+    """``apply`` and ``bracket`` equal their stepwise definitions exactly.
+
+    Kernel-free operands sum once over the lcm of the denominators; the
+    results must match the stepwise sums under ``==`` and ``print()``.
+    """
+
+    @staticmethod
+    def _stepwise_apply(field, expression):
+        total = field.scope.zero
+        for name, coeff in field.coefficients.items():
+            total = total + coeff * expression.diff(name)
+        return total
+
+    def _stepwise_bracket(self, first, second):
+        names = set(first.coefficients) | set(second.coefficients)
+        return VectorField(
+            first.scope,
+            {
+                name: self._stepwise_apply(first, second.coefficient(name))
+                - self._stepwise_apply(second, first.coefficient(name))
+                for name in names
+            },
+        )
+
+    @staticmethod
+    def _field(rng, scope, kind):
+        """A random field: polynomial, rational over shared factors, or exp."""
+        p = scope.parse
+        denominators = [p("t*(x + 1)"), p("t*(y - 2)"), p("(x + 1)*(y - 2)"), p("t^2")]
+        weights = [p("exp(x - t)"), p("exp(2*y)"), p("x*exp(-t)")]
+        coefficients = {}
+        for name in scope.names:
+            if rng.random() < 0.2:
+                continue
+            coeff = random_polynomial(rng, scope, 2)
+            if kind != "polynomial" and rng.random() < 0.8:
+                coeff = coeff / rng.choice(denominators)
+            if kind == "exp" and rng.random() < 0.5:
+                coeff = coeff * rng.choice(weights)
+            coefficients[name] = coeff
+        return VectorField(scope, coefficients)
+
+    def _check(self, first, second):
+        bracket = first.bracket(second)
+        expected = self._stepwise_bracket(first, second)
+        assert bracket == expected
+        assert bracket.print() == expected.print()
+        for field in (first, second):
+            for target in second.coefficient_row():
+                value = field.apply(target)
+                stepwise = self._stepwise_apply(field, target)
+                assert value == stepwise and value.print() == stepwise.print()
+        return bracket
+
+    @pytest.mark.parametrize("kind", ["polynomial", "rational", "exp"])
+    def test_random_fields_match_stepwise(self, kind):
+        scope = Scope(["t", "x", "y"])
+        rng = random.Random({"polynomial": 3, "rational": 5, "exp": 7}[kind])
+        kernels = 0
+        for _ in range(20):
+            first, second = self._field(rng, scope, kind), self._field(rng, scope, kind)
+            bracket = self._check(first, second)
+            kernels += any(c.has_kernels() for c in bracket.coefficient_row())
+        assert kernels >= 5 if kind == "exp" else kernels == 0
+
+    @pytest.mark.parametrize("kind", ["polynomial", "rational", "exp"])
+    def test_brackets_that_cancel_to_zero(self, kind):
+        scope = Scope(["t", "x", "y"])
+        rng = random.Random(11)
+        for _ in range(5):
+            field = self._field(rng, scope, kind)
+            for other in (field, field.scaled(scope.const(-3)), -field):
+                assert self._check(field, other).is_zero()
+
+    def test_applications_that_cancel_to_zero(self):
+        scope = Scope(["t", "x", "y"])
+        p = scope.parse
+        radius = p("x^2 + y^2")
+        for scale in (p("1/(x + 1)"), p("t/((x + 1)*(y - 2))"), p("exp(t)/(y - 2)")):
+            rotation = VectorField(scope, {"x": scale * p("y"), "y": -scale * p("x")})
+            for integral in (radius, radius / p("t + 1"), radius * p("exp(t)")):
+                value = rotation.apply(integral)
+                assert value.is_zero()
+                assert value == self._stepwise_apply(rotation, integral)
+
+    @staticmethod
+    def _count_gcds(monkeypatch) -> list:
+        """Record ``expr._cofactors`` calls made outside ``Expr.diff``."""
+        import frobenius.expr as expr
+
+        calls, inside_diff = [], []
+        cofactors, diff = expr._cofactors, expr.Expr.diff
+
+        def counting_cofactors(f, g):
+            if not inside_diff:
+                calls.append((f, g))
+            return cofactors(f, g)
+
+        def quiet_diff(self, var):
+            inside_diff.append(var)
+            try:
+                return diff(self, var)
+            finally:
+                inside_diff.pop()
+
+        monkeypatch.setattr(expr, "_cofactors", counting_cofactors)
+        monkeypatch.setattr(expr.Expr, "diff", quiet_diff)
+        return calls
+
+    def test_polynomial_bracket_takes_no_gcd(self, monkeypatch):
+        scope = Scope(["t", "x", "y"])
+        first, second = (
+            self._field(random.Random(seed), scope, "polynomial") for seed in (1, 2)
+        )
+        calls = self._count_gcds(monkeypatch)
+        assert not first.bracket(second).is_zero()
+        assert calls == []
+
+    def test_rational_bracket_takes_one_gcd_per_group(self, monkeypatch):
+        scope = Scope(["t", "x", "y"])
+        p = scope.parse
+        first = VectorField(
+            scope, {"t": p("x/t"), "x": p("y^2/(t*(x + 1))"), "y": p("(t + y)/(x + 1)")}
+        )
+        second = VectorField(
+            scope, {"t": p("1/t"), "x": p("(x - y)/(t*(x + 1))"), "y": p("x*y/t")}
+        )
+        bound = 0
+        for name in scope.names:
+            pairs = [
+                (c, second.coefficient(name).diff(v))
+                for v, c in first.coefficients.items()
+            ]
+            pairs += [
+                (-c, first.coefficient(name).diff(v))
+                for v, c in second.coefficients.items()
+            ]
+            groups = {a._q * b._q for a, b in pairs if not (a.is_zero() or b.is_zero())}
+            bound += 1 + len(groups)
+        calls = self._count_gcds(monkeypatch)
+        bracket = first.bracket(second)
+        assert 0 < len(calls) <= bound
+        assert bracket == self._stepwise_bracket(first, second)
+
+
 class TestExteriorDerivative:
     def test_d_of_differential_vanishes(self, xyz):
         form = differential(xyz.parse("x*y^2*z^3"))

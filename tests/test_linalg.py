@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from frobenius import expr
-from frobenius.expr import EvalError, Scope
+from frobenius.expr import EvalError, Point, Scope
 from frobenius.exterior import VectorField
 from frobenius.linalg import (
     rank_echelon,
@@ -18,6 +18,7 @@ from frobenius.linalg import (
     in_span,
     invert,
     merge_locus,
+    nonzero_value,
     sample_points,
     solve,
     SpanSolver,
@@ -428,3 +429,44 @@ class TestSamplePoints:
             sample_points(
                 scope, 1, seed=5, avoid=[scope.zero], max_tries=10
             )
+
+
+class TestNonzeroValue:
+    """Zeros and poles of kernel-bearing values are decided exactly."""
+
+    @staticmethod
+    def _at(**values):
+        return Point({name: Fraction(v) for name, v in values.items()})
+
+    def test_tiny_values_are_nonzero(self):
+        scope = Scope(["x1", "x2"])
+        p = scope.parse
+        point = self._at(x1=1, x2=0)
+        assert nonzero_value(p("exp(-100)*x1"), point) == "3.720075976020835963e-44"
+        assert nonzero_value(p("exp(-1000)"), point).endswith("e-435")
+        assert nonzero_value(p("exp(-200) - exp(-201)*x1"), point) is not None
+
+    def test_kernels_that_cancel_at_the_point_vanish(self):
+        scope = Scope(["x1", "x2"])
+        p = scope.parse
+        cases = [
+            (p("exp(x1) - exp(x2)"), self._at(x1="3/2", x2="3/2")),
+            (p("exp(2*x1) - exp(x1)"), self._at(x1=0, x2=5)),
+            (p("x2*exp(x1) - x1*exp(x2) - x2 + x1"), self._at(x1=2, x2=2)),
+            (p("exp(x1 + x2) - exp(x1)*exp(1)"), self._at(x1=4, x2=1)),
+        ]
+        for value, point in cases:
+            assert not value.is_zero()
+            assert value.vanishes_at(point)
+            assert nonzero_value(value, point) is None
+
+    def test_poles_are_exact(self):
+        scope = Scope(["x1", "x2"])
+        pole = scope.parse("1/(exp(x1) - exp(2*x2))")
+        point = self._at(x1=2, x2=1)
+        assert nonzero_value(pole, point) is None
+        with pytest.raises(EvalError, match="denominator vanishes"):
+            pole.eval_float(point, 256)
+        with pytest.raises(EvalError, match="denominator vanishes"):
+            pole.vanishes_at(point)
+        assert nonzero_value(pole, self._at(x1=2, x2=2)) is not None
