@@ -1,4 +1,5 @@
-"""Byte-for-byte `analyze --json` and `convert --json` outputs.
+"""Byte-for-byte `analyze`, `convert`, `bracket`, `complete` and
+`check-fixtures` `--json` outputs.
 
 Each analyze case runs `frobenius analyze <fixture> --json` with the fixture's
 sidecar integrals, plus a few invalid integrals (no sidecar holds one) so that
@@ -7,8 +8,11 @@ value (td, pde) and a witness minor (pfaff); `verify --json` must agree with
 it.  Each convert case runs `frobenius convert fixtures/<fixture>.dsys --to
 <target> --json` from the repository root, for every fixture and target; a
 pair with no stored output must still fail with an error.  Conversions lift
-values between scopes, which analyze does not.  To rewrite the stored outputs
-after an intended change, run ``PYTHONPATH=src python tests/test_golden.py``.
+values between scopes, which analyze does not.  Each fixture's `bracket --json`
+(the one output that prints per-pair span coefficients) and `complete --json`
+are pinned too, and so is `check-fixtures fixtures --json --seed 7`.  To
+rewrite the stored outputs after an intended change, run
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
 import contextlib
@@ -59,14 +63,32 @@ CONVERSIONS = {
 }
 
 
-def _run(command: str, fixture: str, integrals: list[str]) -> str:
-    argv = [command, str(FIXTURES / f"{fixture}.dsys"), "--json"]
-    for integral in integrals:
-        argv += ["--integral", integral]
+TABLES = {
+    f"{path.stem}-{command}": (command, path.stem)
+    for path in sorted(FIXTURES.glob("*.dsys"))
+    for command in ("bracket", "complete")
+}
+
+CHECK_FIXTURES = "check-fixtures-seed-7"
+
+
+def _main_stdout(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
     return out.getvalue()
+
+
+def _run(command: str, fixture: str, integrals: list[str] = ()) -> str:
+    argv = [command, str(FIXTURES / f"{fixture}.dsys"), "--json"]
+    for integral in integrals:
+        argv += ["--integral", integral]
+    return _main_stdout(argv)
+
+
+def _check_fixtures() -> str:
+    """`check-fixtures fixtures --json --seed 7`; run from the repository root."""
+    return _main_stdout(["check-fixtures", "fixtures", "--json", "--seed", "7"])
 
 
 def _convert(fixture: str, target: str) -> tuple[int, str]:
@@ -104,12 +126,26 @@ def test_convert_json_matches_golden(case, monkeypatch):
         assert code != 0 and text == ""
 
 
+@pytest.mark.parametrize("case", sorted(TABLES))
+def test_bracket_and_complete_json_match_golden(case):
+    expected = (GOLDEN / f"{case}.json").read_text(encoding="utf-8")
+    assert _run(*TABLES[case]) == expected
+
+
+def test_check_fixtures_json_matches_golden(monkeypatch):
+    monkeypatch.chdir(FIXTURES.parent)
+    expected = (GOLDEN / f"{CHECK_FIXTURES}.json").read_text(encoding="utf-8")
+    assert _check_fixtures() == expected
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, (fixture, integrals) in sorted(CASES.items()):
         (GOLDEN / f"{name}.json").write_text(
             _run("analyze", fixture, integrals), encoding="utf-8"
         )
+    for name, (command, fixture) in sorted(TABLES.items()):
+        (GOLDEN / f"{name}.json").write_text(_run(command, fixture), encoding="utf-8")
     os.chdir(FIXTURES.parent)
     for name, (fixture, target) in sorted(CONVERSIONS.items()):
         code, text = _convert(fixture, target)
@@ -118,3 +154,4 @@ if __name__ == "__main__":
             golden.write_text(text, encoding="utf-8")
         else:
             golden.unlink(missing_ok=True)
+    (GOLDEN / f"{CHECK_FIXTURES}.json").write_text(_check_fixtures(), encoding="utf-8")
