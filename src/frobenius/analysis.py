@@ -35,7 +35,6 @@ from .systems import (
     SystemError,
     TdSystem,
     pfaff_contragredient,
-    td_to_pde,
 )
 
 __all__ = [
@@ -95,7 +94,7 @@ class CompletenessResult:
 
 def frobenius_td(td: TdSystem) -> CompletenessResult:
     """Complete solvability: all pairwise brackets must vanish."""
-    operators = td_to_pde(td, "nonautonomous").operators
+    operators = td.family.operators
     certificates: dict[tuple[int, int], SpanCertificate] = {}
     brackets: dict[tuple[int, int], VectorField] = {}
     for i in range(len(operators)):
@@ -284,7 +283,7 @@ def operator_family(system: System) -> tuple[PdeSystem | None, list[Expr]]:
     if system.kind == "pde":
         return system.pde, []
     if system.kind == "td":
-        return td_to_pde(system.td, "nonautonomous"), []
+        return system.td.family, []
     pf = system.pfaff
     if pf.m == pf.n:
         return None, []

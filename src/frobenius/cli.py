@@ -242,7 +242,7 @@ def _cmd_bracket(args) -> int:
         result = pde_completeness(pde)
     rows = []
     for (i, j), certificate in sorted(result.certificates.items()):
-        bracket = pde.operators[i].bracket(pde.operators[j])
+        bracket = result.brackets[(i, j)]
         entry = {
             "pair": f"[{pde.names[i]},{pde.names[j]}]",
             "bracket": bracket.print(),

@@ -1,13 +1,16 @@
 """Linear algebra over the field of symbolic expressions.
 
-Generic rank, inversion, solving, and span membership with validated
-certificates.  Each elimination step returns canonical forms (the expression
-layer cancels numerator/denominator gcds).  Sums of products (matrix
-products, span coefficients) and the self-checks of certificates, inverses
-and solutions cancel once per returned value, through
-``Expr._sum_of_products``; a self-check's sum is zero and needs no gcd.  The
-pivot rule is deterministic: smallest printed form, ties broken by lowest row
-then column.
+Generic rank, determinants, inversion, solving, and span membership with
+validated certificates.  One pivot loop eliminates over the field, reduced
+(``echelon``, ``SpanSolver``) or forward only (``rank_echelon``); rank,
+determinant and witness minors are read off its pivots: a minor on the pivot
+rows and columns is the signed product of the pivot values.  Each elimination
+step returns canonical forms (the expression layer cancels
+numerator/denominator gcds).  Sums of products (matrix products, span
+coefficients) and the self-checks of certificates, inverses and solutions
+cancel once per returned value, through ``Expr._sum_of_products``; a
+self-check's sum is zero and needs no gcd.  The pivot rule is deterministic:
+smallest printed form, ties broken by lowest row then column.
 Every pivot contributes its numerator and denominator factors to an excluded
 locus so callers can report where the generic answer degenerates.
 """
@@ -17,11 +20,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import mpmath
 
-from .expr import Expr, ExprError, EvalError, Point, Scope, _cofactors
+from .expr import Expr, ExprError, EvalError, Point, Scope
+from .exterior import _sort_with_sign
 
 __all__ = [
     "ExprMatrix",
@@ -124,10 +129,11 @@ class ExprMatrix:
 
 @dataclass
 class Echelon:
-    """Result of reduced row elimination with full pivoting."""
+    """Result of row elimination with full pivoting."""
 
     work: list[list[Expr]]
     pivots: list[tuple[int, int]]  # (work row, column) in elimination order
+    values: list[Expr]  # each pivot's entry when it was chosen, in that order
     excluded: list[Expr]
 
     @property
@@ -136,6 +142,19 @@ class Echelon:
 
     def pivot_cols(self) -> list[int]:
         return sorted(c for _, c in self.pivots)
+
+    def minor(self) -> Expr:
+        """Determinant of the pivot rows and columns, both in ascending order.
+
+        The product of the pivot values is the minor with its rows and columns
+        in elimination order; each order's parity gives the sign.
+        """
+        value = self.work[0][0].scope.one
+        for pivot in self.values:
+            value = value * pivot
+        _, row_sign = _sort_with_sign([r for r, _ in self.pivots])
+        _, col_sign = _sort_with_sign([c for _, c in self.pivots])
+        return value if row_sign == col_sign else -value
 
 
 def merge_locus(into: list[Expr], extra: Iterable[Expr]) -> list[Expr]:
@@ -159,6 +178,63 @@ def _locus_factors(entry: Expr, into: list[Expr]) -> None:
             merge_locus(into, [expr if expr.leading_sign() > 0 else -expr])
 
 
+def _eliminate(
+    matrix: ExprMatrix,
+    prefer_cols: Sequence[int] | None,
+    pivot_col_limit: int | None,
+    reduced: bool,
+) -> Echelon:
+    """Row elimination by full pivoting under the deterministic rule.
+
+    Each pivot row is scaled to a leading one and cleared from the rows that
+    are still free, or from every other row when reduced.  The free rows, and
+    so the pivots, their values and the locus, are the same either way.
+    """
+    work = [list(matrix.row(i)) for i in range(matrix.rows)]
+    n_cols = matrix.cols if pivot_col_limit is None else pivot_col_limit
+    free_rows = set(range(matrix.rows))
+    free_cols = set(range(n_cols))
+    pivots: list[tuple[int, int]] = []
+    values: list[Expr] = []
+    excluded: list[Expr] = []
+    while free_rows and free_cols:
+        forced = prefer_cols is not None and len(pivots) < len(prefer_cols)
+        allowed = {prefer_cols[len(pivots)]} if forced else free_cols
+        if not allowed & free_cols:
+            raise LinalgError("requested pivot column already consumed")
+        candidates = [
+            (len(work[r][c].print()), r, c)
+            for r in free_rows
+            for c in allowed
+            if not work[r][c].is_zero()
+        ]
+        if not candidates:
+            if forced:
+                raise LinalgError(
+                    "singular pivot choice: no nonzero entry in preferred column"
+                )
+            break
+        _, r, c = min(candidates)
+        pivot = work[r][c]
+        _locus_factors(pivot, excluded)
+        inv = pivot.scope.one / pivot
+        work[r] = [inv * e for e in work[r]]
+        free_rows.discard(r)
+        for other in range(matrix.rows) if reduced else free_rows:
+            if other == r:
+                continue
+            factor = work[other][c]
+            if factor.is_zero():
+                continue
+            work[other] = [
+                a - factor * b for a, b in zip(work[other], work[r])
+            ]
+        pivots.append((r, c))
+        values.append(pivot)
+        free_cols.discard(c)
+    return Echelon(work, pivots, values, excluded)
+
+
 def echelon(
     matrix: ExprMatrix,
     prefer_cols: Sequence[int] | None = None,
@@ -170,130 +246,16 @@ def echelon(
     raises if one of them admits no nonzero pivot.  pivot_col_limit restricts
     pivoting to the first so many columns (augmented systems).
     """
-    work = [list(matrix.row(i)) for i in range(matrix.rows)]
-    n_cols = matrix.cols if pivot_col_limit is None else pivot_col_limit
-    free_rows = set(range(matrix.rows))
-    free_cols = set(range(n_cols))
-    pivots: list[tuple[int, int]] = []
-    excluded: list[Expr] = []
-    step = 0
-    while free_rows and free_cols:
-        if prefer_cols is not None and step < len(prefer_cols):
-            allowed = {prefer_cols[step]}
-            if not allowed & free_cols:
-                raise LinalgError("requested pivot column already consumed")
-        else:
-            allowed = free_cols
-        best: tuple[int, int, int] | None = None
-        for r in sorted(free_rows):
-            for c in sorted(allowed):
-                entry = work[r][c]
-                if entry.is_zero():
-                    continue
-                size = len(entry.print())
-                if best is None or (size, r, c) < best:
-                    best = (size, r, c)
-        if best is None:
-            if prefer_cols is not None and step < len(prefer_cols):
-                raise LinalgError(
-                    "singular pivot choice: no nonzero entry in preferred column"
-                )
-            break
-        _, r, c = best
-        pivot = work[r][c]
-        _locus_factors(pivot, excluded)
-        inv = pivot.scope.one / pivot
-        work[r] = [inv * e for e in work[r]]
-        for other in range(matrix.rows):
-            if other == r:
-                continue
-            factor = work[other][c]
-            if factor.is_zero():
-                continue
-            work[other] = [
-                a - factor * b for a, b in zip(work[other], work[r])
-            ]
-        pivots.append((r, c))
-        free_rows.discard(r)
-        free_cols.discard(c)
-        step += 1
-    return Echelon(work, pivots, excluded)
-
-
-def _exact_poly_div(a: Expr, b: Expr) -> Expr:
-    """Quotient of two kernel-free polynomials known to divide exactly."""
-    if b.is_one():
-        return a
-    quotient, remainder = a._p.div(b._p)
-    if remainder:
-        raise LinalgError("fraction-free elimination lost exact divisibility")
-    return Expr._of(a.scope, quotient, quotient.ring.one)
+    return _eliminate(matrix, prefer_cols, pivot_col_limit, reduced=True)
 
 
 def rank_echelon(matrix: ExprMatrix) -> Echelon:
-    """Fraction-free forward elimination: pivots and excluded locus only.
+    """Forward elimination only: pivots, their values and the excluded locus.
 
-    Rows are cleared of denominators first (a nonzero rescaling never moves
-    the generic rank); the one-step updates divide exactly by the previous
-    pivot, so entries stay polynomial.  Falls back to field elimination for
-    kernel-bearing matrices, where exact divisibility is not guaranteed.
+    The pivots and locus are those of ``echelon``; rows above a pivot are
+    left unreduced.
     """
-    scope = matrix.scope
-    work: list[list[Expr]] = []
-    for i in range(matrix.rows):
-        row = matrix.row(i)
-        if any(e.has_kernels() for e in row):
-            return echelon(matrix)
-        common = scope.one
-        for entry in row:
-            den = entry.denominator()
-            if not den.is_one():
-                common = common * den / _gcd_expr(common, den)
-        work.append([entry * common for entry in row])
-    free_rows = set(range(matrix.rows))
-    free_cols = set(range(matrix.cols))
-    pivots: list[tuple[int, int]] = []
-    excluded: list[Expr] = []
-    previous: Expr | None = None
-    while free_rows and free_cols:
-        best: tuple[int, int, int] | None = None
-        for r in sorted(free_rows):
-            for c in sorted(free_cols):
-                entry = work[r][c]
-                if entry.is_zero():
-                    continue
-                size = len(entry.print())
-                if best is None or (size, r, c) < best:
-                    best = (size, r, c)
-        if best is None:
-            break
-        _, r, c = best
-        pivot = work[r][c]
-        _locus_factors(pivot, excluded)
-        for other in free_rows:
-            if other == r:
-                continue
-            factor = work[other][c]
-            updated = []
-            for a, b in zip(work[other], work[r]):
-                value = a * pivot - b * factor
-                if previous is not None and not value.is_zero():
-                    value = _exact_poly_div(value, previous)
-                updated.append(value)
-            work[other] = updated
-        pivots.append((r, c))
-        free_rows.discard(r)
-        free_cols.discard(c)
-        previous = pivot
-    return Echelon(work, pivots, excluded)
-
-
-def _gcd_expr(a: Expr, b: Expr) -> Expr:
-    """Monic gcd of two kernel-free polynomials."""
-    scope = a.scope
-    if a.is_one() or b.is_one():
-        return scope.one
-    return Expr._of(scope, _cofactors(a._p, b._p)[0], scope.ring.one)
+    return _eliminate(matrix, None, None, reduced=False)
 
 
 def generic_rank(matrix: ExprMatrix) -> int:
@@ -302,24 +264,13 @@ def generic_rank(matrix: ExprMatrix) -> int:
 
 
 def determinant(matrix: ExprMatrix) -> Expr:
-    """Exact determinant by cofactor expansion along the first row."""
+    """Exact determinant: the signed product of the forward pivots."""
     if matrix.rows != matrix.cols:
         raise LinalgError("determinant requires a square matrix")
-    return _det(matrix.to_rows(), matrix.scope)
-
-
-def _det(rows: list[list[Expr]], scope: Scope) -> Expr:
-    size = len(rows)
-    if size == 1:
-        return rows[0][0]
-    total = scope.zero
-    for j, lead in enumerate(rows[0]):
-        if lead.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = lead * _det(minor, scope)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    result = rank_echelon(matrix)
+    if result.rank < matrix.rows:
+        return matrix.scope.zero
+    return result.minor()
 
 
 def invert(matrix: ExprMatrix) -> tuple[ExprMatrix, list[Expr]]:
@@ -328,26 +279,18 @@ def invert(matrix: ExprMatrix) -> tuple[ExprMatrix, list[Expr]]:
         raise LinalgError("inverse requires a square matrix")
     size = matrix.rows
     scope = matrix.scope
-    augmented = ExprMatrix.from_rows(
-        [
-            matrix.row(i) + ExprMatrix.identity(scope, size).row(i)
-            for i in range(size)
-        ]
-    )
-    result = echelon(augmented, pivot_col_limit=size)
-    if result.rank < size:
+    solver = SpanSolver(matrix)
+    if solver.rank < size:
         raise LinalgError("matrix is singular over the function field")
-    inverse_rows: list[list[Expr]] = [[scope.zero] * size for _ in range(size)]
-    for r, c in result.pivots:
-        inverse_rows[c] = result.work[r][size:]
-    inverse = ExprMatrix.from_rows(inverse_rows)
+    # the reduced rows are the identity's, sorted by pivot column
+    inverse = ExprMatrix.from_rows([t for _, t, _, _ in solver.rows])
     product = matrix.mul(inverse)
     for i in range(size):
         for j in range(size):
             expected = scope.one if i == j else scope.zero
             if not (product.at(i, j) - expected).is_zero():
                 raise LinalgError("inverse failed self-check")
-    return inverse, result.excluded
+    return inverse, solver.excluded
 
 
 def solve(
@@ -410,20 +353,20 @@ class SpanSolver:
     minor of the stacked matrix.  A member's coefficients are each one sum
     of products over the reducing rows' transforms, with one cancel; its
     check sums the coefficients times each generator column, minus the
-    target, and that sum must be zero.
+    target, and that sum must be zero.  A witness minor is the pivot minor
+    times the reduced target's first nonzero entry (a Schur complement).
     """
 
     def __init__(self, generators: ExprMatrix):
         self.generators = generators
         scope = generators.scope
         m, n = generators.rows, generators.cols
+        identity = ExprMatrix.identity(scope, m)
         augmented = ExprMatrix.from_rows(
-            [
-                generators.row(i) + ExprMatrix.identity(scope, m).row(i)
-                for i in range(m)
-            ]
+            [generators.row(i) + identity.row(i) for i in range(m)]
         )
         result = echelon(augmented, pivot_col_limit=n)
+        self._elimination = result
         self.excluded = list(result.excluded)
         self.pivots = sorted(result.pivots, key=lambda rc: rc[1])
         self.rank = len(self.pivots)
@@ -431,6 +374,11 @@ class SpanSolver:
             (result.work[r][:n], result.work[r][n:], r, c)
             for r, c in self.pivots
         ]
+
+    @cached_property
+    def _pivot_minor(self) -> Expr:
+        """Determinant of the generators' pivot rows and columns."""
+        return self._elimination.minor()
 
     def query(self, target: Sequence[Expr]) -> SpanCertificate:
         generators = self.generators
@@ -465,14 +413,14 @@ class SpanSolver:
                 excluded=list(self.excluded),
             )
         rows = sorted(r for _, _, r, _ in self.rows) + [m]
-        cols = sorted([c for _, _, _, c in self.rows] + [leftover])
-        stacked = ExprMatrix.from_rows(
-            generators.to_rows() + [list(target)]
-        )
-        minor_matrix = ExprMatrix.from_rows(
-            [[stacked.at(r, c) for c in cols] for r in rows]
-        )
-        minor = determinant(minor_matrix)
+        pivot_cols = [c for _, _, _, c in self.rows]
+        cols = sorted(pivot_cols + [leftover])
+        # moving the leftover column past the later pivot columns gives the
+        # block form [[A, b], [t, t_l]]: det(A) times t_l - t A^-1 b, which is
+        # the reduced target's leftover entry
+        minor = self._pivot_minor * residual[leftover]
+        if sum(c > leftover for c in pivot_cols) % 2:
+            minor = -minor
         if minor.is_zero():
             raise LinalgError("witness minor failed validation")
         return SpanCertificate(

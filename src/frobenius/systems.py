@@ -108,6 +108,11 @@ class TdSystem:
     def operators(self, mode: str = "nonautonomous") -> list[VectorField]:
         return td_to_pde(self, mode).operators
 
+    @cached_property
+    def family(self) -> PdeSystem:
+        """The nonautonomous operators of differentiation, built once."""
+        return td_to_pde(self)
+
 
 @dataclass(frozen=True)
 class PdeSystem:
@@ -302,9 +307,19 @@ def pde_normalize(
     scope = pde.scope
     prefer = None
     if pivots is not None:
+        undeclared = [name for name in pivots if name not in scope.names]
+        if undeclared:
+            raise SystemError(f"pivots name undeclared variables {undeclared}")
+        if len(set(pivots)) != len(pivots):
+            raise SystemError("pivots must be distinct")
+        if len(pivots) > pde.m:
+            raise SystemError(f"{len(pivots)} pivots for {pde.m} operators")
         prefer = [scope.index(name) for name in pivots]
     matrix = pde.coefficient_matrix()
-    result = echelon(matrix, prefer_cols=prefer)
+    try:
+        result = echelon(matrix, prefer_cols=prefer)
+    except LinalgError as error:
+        raise SystemError(str(error)) from error
     if result.rank < pde.m:
         raise SystemError(
             "no generically nonsingular pivot minor (operators linearly bound)"
@@ -522,8 +537,7 @@ def td_defect_reduction(td: TdSystem) -> tuple[TdSystem, list[Expr]]:
     """
     from .analysis import bracket_closure, frobenius_td
 
-    pde = td_to_pde(td, "nonautonomous")
-    closure = bracket_closure(pde)
+    closure = bracket_closure(td.family)
     if closure.defect == 0:
         return td, list(closure.excluded)
     if closure.defect >= td.n:

@@ -404,6 +404,28 @@ class TestBracketReuse:
         assert verdicts == [True, False, False]
         assert len(built) == 1
 
+    def test_td_analyze_builds_one_operator_family(self, monkeypatch):
+        """Solvability, closure and every integral read the same operators."""
+        import json
+
+        import frobenius.systems as systems
+        from conftest import FIXTURES
+
+        built = []
+        td_to_pde = systems.td_to_pde
+
+        def counting(td, mode="nonautonomous"):
+            built.append(mode)
+            return td_to_pde(td, mode)
+
+        monkeypatch.setattr(systems, "td_to_pde", counting)
+        system = load_fixture("ex_1_7")
+        sidecar = json.loads((FIXTURES / "ex_1_7.expected.json").read_text())
+        texts = [item["expr"] for item in sidecar["integrals"]] + ["x1"]
+        report = analyze(system, [system.scope.parse(t) for t in texts])
+        assert len(report.integrals) == len(texts) >= 2
+        assert built == ["nonautonomous"]
+
 
 class TestDimensionBounds:
     def test_valid_independent_integrals_never_exceed_dimension(self):

@@ -164,6 +164,29 @@ class TestConvert:
         assert result.returncode == 0
         assert "pivots: x1" in result.stdout
 
+    @pytest.mark.parametrize(
+        "pivots, message",
+        [
+            ("x1,x1", "pivots must be distinct"),
+            ("zz", "pivots name undeclared variables ['zz']"),
+            ("x1,x2", "singular pivot choice"),
+            ("t1,t2,x1", "3 pivots for 2 operators"),
+        ],
+    )
+    def test_bad_normal_pivots_are_usage_errors(self, pivots, message):
+        result = run_cli(
+            "convert",
+            str(FIXTURES / "ex_3_2.dsys"),
+            "--to",
+            "normal",
+            "--pivots",
+            pivots,
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and message in result.stderr
+        assert "Traceback" not in result.stderr
+
     def test_output_reparses(self, tmp_path):
         result = run_cli(
             "convert", str(FIXTURES / "ex_1_15.dsys"), "--to", "pfaff"

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from frobenius import expr
-from frobenius.expr import EvalError, Point, Scope
+from frobenius import expr, linalg
+from frobenius.expr import EvalError, Expr, Point, Scope
 from frobenius.exterior import VectorField
 from frobenius.linalg import (
     rank_echelon,
@@ -24,7 +24,7 @@ from frobenius.linalg import (
     SpanSolver,
 )
 
-from conftest import random_polynomial
+from conftest import random_polynomial, random_rational_expr
 
 
 @pytest.fixture
@@ -59,6 +59,46 @@ def numeric_rank(matrix: ExprMatrix, point) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def cofactor_determinant(matrix: ExprMatrix) -> Expr:
+    """Independent oracle: cofactor expansion along the first row."""
+    scope = matrix.scope
+
+    def expand(rows: list[list[Expr]]) -> Expr:
+        if len(rows) == 1:
+            return rows[0][0]
+        total = scope.zero
+        for j, lead in enumerate(rows[0]):
+            if lead.is_zero():
+                continue
+            term = lead * expand([row[:j] + row[j + 1 :] for row in rows[1:]])
+            total = total + term if j % 2 == 0 else total - term
+        return total
+
+    return expand(matrix.to_rows())
+
+
+def random_entry(rng: random.Random, scope: Scope) -> Expr:
+    """A polynomial, a rational function or (one time in five) zero."""
+    roll = rng.random()
+    if roll < 0.2:
+        return scope.zero
+    if roll < 0.6:
+        return random_polynomial(rng, scope, 2)
+    return random_rational_expr(rng, scope, 2)
+
+
+def random_rows(rng: random.Random, scope: Scope, rows: int, cols: int):
+    """Random rows; sometimes the last is a combination of the others."""
+    out = [[random_entry(rng, scope) for _ in range(cols)] for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.3:
+        mix = [random_polynomial(rng, scope, 1) for _ in range(rows - 1)]
+        out[-1] = [
+            sum((m * row[j] for m, row in zip(mix, out)), scope.zero)
+            for j in range(cols)
+        ]
+    return out
 
 
 class TestGenericRank:
@@ -150,6 +190,20 @@ class TestGenericRank:
             if generic_rank(transform) < 3:
                 continue
             assert generic_rank(transform.mul(m)) == generic_rank(m)
+
+
+class TestDeterminant:
+    def test_equals_cofactor_oracle_on_random_matrices(self):
+        scope = Scope(["x1", "x2", "x3"])
+        rng = random.Random(61)
+        singular = 0
+        for _ in range(80):
+            size = rng.randint(1, 4)
+            m = ExprMatrix.from_rows(random_rows(rng, scope, size, size))
+            det = determinant(m)
+            assert det == cofactor_determinant(m)
+            singular += det.is_zero()
+        assert 0 < singular < 80
 
 
 class TestInvert:
@@ -337,6 +391,57 @@ class TestInSpan:
             ]
             assert all((a - b).is_zero() for a, b in zip(combo, target))
             hits += 1
+
+
+def named_minor(generators: ExprMatrix, target, certificate) -> ExprMatrix:
+    """The certificate's rows and columns of the generators stacked on target."""
+    stacked = generators.to_rows() + [list(target)]
+    return ExprMatrix.from_rows(
+        [
+            [stacked[r][c] for c in certificate.witness_cols]
+            for r in certificate.witness_rows
+        ]
+    )
+
+
+class TestWitnessMinors:
+    def test_witness_minor_is_the_named_minor(self, monkeypatch):
+        """Each not-member minor equals the cofactor expansion of its rows and
+        columns of the generators stacked on the target; no query calls
+        ``determinant``."""
+
+        def forbidden(matrix):
+            raise AssertionError("a span query called determinant")
+
+        monkeypatch.setattr(linalg, "determinant", forbidden)
+        scope = Scope(["x1", "x2", "x3"])
+        rng = random.Random(67)
+        checked = 0
+        for _ in range(60):
+            rows, cols = rng.randint(1, 3), rng.randint(2, 4)
+            generators = ExprMatrix.from_rows(random_rows(rng, scope, rows, cols))
+            if all(e.is_zero() for e in generators.row(0)):
+                continue
+            solver = SpanSolver(generators)
+            for _ in range(3):
+                target = [random_entry(rng, scope) for _ in range(cols)]
+                certificate = solver.query(target)
+                if certificate.member:
+                    continue
+                named = named_minor(generators, target, certificate)
+                assert certificate.witness_minor == cofactor_determinant(named)
+                checked += 1
+        assert checked > 100
+
+    def test_kernel_bearing_witness_minor(self):
+        scope = Scope(["x", "y", "z"])
+        generators = matrix_of(scope, [["y*z", "-x*z", "0"], ["0", "exp(y)", "x"]])
+        target = [scope.parse(e) for e in ("exp(x)/(exp(x) + y)", "1", "z")]
+        certificate = in_span(target, generators)
+        assert not certificate.member
+        named = named_minor(generators, target, certificate)
+        assert certificate.witness_minor.has_kernels()
+        assert certificate.witness_minor == cofactor_determinant(named)
 
 
 class TestSpanSolverCertificates:
