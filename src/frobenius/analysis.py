@@ -155,6 +155,13 @@ def pde_completeness(pde: PdeSystem) -> CompletenessResult:
     )
 
 
+def _fresh_name(taken: Sequence[str], k: int) -> str:
+    """The first generator name g{k}, g{k+1}, ... that is not yet taken."""
+    while f"g{k}" in taken:
+        k += 1
+    return f"g{k}"
+
+
 @dataclass
 class ClosureStep:
     """One generator added during closure: bracket of generators (i, j)."""
@@ -238,7 +245,7 @@ def bracket_closure(
                     continue
                 operator, negated = _orient(bracket)
                 generators.append(operator)
-                name = f"g{len(generators)}"
+                name = _fresh_name(gen_names, len(generators))
                 gen_names.append(name)
                 added.append(
                     ClosureStep(

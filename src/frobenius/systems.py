@@ -134,6 +134,8 @@ class PdeSystem:
             )
         if len(self.names) != len(self.operators):
             raise SystemError("operator name count mismatch")
+        if len(set(self.names)) != len(self.names):
+            raise SystemError("duplicate operator name")
         if self.normal_pivots is not None:
             self._check_normal()
 

@@ -284,6 +284,31 @@ class TestCompleteAndBracket:
         assert locus == ["y", "z"]
         assert locus == json.loads(analyzed.stdout)["excluded_locus"]
 
+    @pytest.mark.parametrize(
+        "name, rename, added",
+        [
+            # the dual operators of a Pfaff system are named g3 and g4
+            ("ex_4_7", None, ["g5 = [g4,g3]"]),
+            ("ex_2_10", ("op l2:", "op g3:"), ["g4 = [g3,l1]", "g5 = [l1,g4]"]),
+        ],
+    )
+    def test_added_generators_get_untaken_names(self, tmp_path, name, rename, added):
+        from frobenius.dsl import parse_system
+
+        text = (FIXTURES / f"{name}.dsys").read_text()
+        if rename is not None:
+            text = text.replace(*rename)
+        path = tmp_path / f"{name}.dsys"
+        path.write_text(text)
+        result = run_cli("complete", str(path))
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert [line.split(" -> ")[0] for line in lines[1 : 1 + len(added)]] == [
+            f"added {step}" for step in added
+        ]
+        completed = parse_system("\n".join(lines[1 + len(added) :]) + "\n")
+        assert completed.pde.m == len(completed.pde.names) == len(set(completed.pde.names))
+
     def test_bracket_square_pfaff(self):
         result = run_cli("bracket", str(FIXTURES / "ex_4_2.dsys"), "--json")
         assert result.returncode == 0

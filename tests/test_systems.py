@@ -9,6 +9,7 @@ from frobenius.dsl import DslError, parse_system, serialize, system_to_dict
 from frobenius.expr import Scope
 from frobenius.exterior import KForm, VectorField, differential
 from frobenius.systems import (
+    PdeSystem,
     System,
     SystemError,
     normal_pde_to_td,
@@ -34,6 +35,11 @@ class TestParsing:
         system = load_fixture("ex_2_10")
         assert system.kind == "pde"
         assert system.pde.m == 2 and system.pde.n == 5
+
+    def test_duplicate_operator_names_rejected(self):
+        pde = load_fixture("ex_2_10").pde
+        with pytest.raises(SystemError, match="duplicate operator name"):
+            PdeSystem(pde.scope, pde.operators, names=("g3", "g3"))
 
     def test_rank_deficient_forms_rejected(self):
         text = """
