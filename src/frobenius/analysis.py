@@ -1,11 +1,15 @@
 """Decision procedures: solvability, completeness, closure, defect,
 integral-basis dimension, and first-integral verification with certificates.
 
-The solvability test brackets the operators of differentiation pairwise and
-demands the zero field.  Completeness demands each bracket be a function-
-coefficient combination of the system's operators; bracket closure adds
-failing brackets as new generators until completeness (or the variable-count
-cap) is reached, and the number added is the system's defect.
+Solvability, completeness and closure are one pairwise bracket scan
+(``_scan``), which stops at the first bracket outside the operators' span.
+Completeness is the scan of a PDE system's operators.  Complete solvability
+is the scan of the operators of differentiation, whose brackets have no d/dt
+part and so lie in their span only when they vanish.  Bracket closure adds
+each failing bracket as a generator and rescans until complete (or the
+variable-count cap), and the number added is the system's defect.  Each
+``PdeSystem`` caches its first scan (``bracket_scan``), which a check and
+the closure after it share.
 ``operator_family`` picks the PDE family whose closure gives the defect, and
 ``dimension_from_defect`` holds the one dimension rule per kind: n - m - defect
 for PDE systems (0 when m = n), n - defect for total differential systems,
@@ -14,8 +18,8 @@ m - defect for Pfaff systems (n when m = n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from typing import AbstractSet, Sequence
 
 from .expr import Expr, Point, Scope
 from .exterior import KForm, VectorField, differential
@@ -75,12 +79,14 @@ def _orient(field_: VectorField) -> tuple[VectorField, bool]:
     return field_, False
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompletenessResult:
-    """Outcome of a pairwise bracket test with validated certificates.
+    """Outcome of a pairwise bracket scan with validated certificates.
 
-    ``brackets`` holds every bracket the test computed, by operator index
-    pair, so a closure of the same family need not compute them again.
+    ``certificates`` and ``brackets`` hold the span certificate and the
+    bracket of each scanned pair, by operator index pair; a zero bracket is
+    a member with zero coefficients.  An incomplete scan stops at its
+    witness pair, and ``rank`` is the rank of the operators' span solver.
     """
 
     complete: bool
@@ -90,76 +96,77 @@ class CompletenessResult:
     witness_bracket: VectorField | None = None
     excluded: list[Expr] = field(default_factory=list)
     brackets: dict[tuple[int, int], VectorField] = field(default_factory=dict)
+    rank: int | None = None
 
 
-def frobenius_td(td: TdSystem) -> CompletenessResult:
-    """Complete solvability: all pairwise brackets must vanish."""
-    operators = td.family.operators
-    certificates: dict[tuple[int, int], SpanCertificate] = {}
-    brackets: dict[tuple[int, int], VectorField] = {}
-    for i in range(len(operators)):
-        for j in range(i + 1, len(operators)):
-            bracket = brackets[(i, j)] = operators[i].bracket(operators[j])
-            if bracket.is_zero():
-                certificates[(i, j)] = SpanCertificate(
-                    member=True,
-                    coefficients=[td.scope.zero] * len(operators),
-                )
-                continue
-            return CompletenessResult(
-                complete=False,
-                jacobian=False,
-                certificates=certificates,
-                witness_pair=(i, j),
-                witness_bracket=bracket,
-                brackets=brackets,
-            )
-    return CompletenessResult(True, True, certificates, brackets=brackets)
+def _scan(
+    operators: Sequence[VectorField],
+    resolved: AbstractSet[tuple[int, int]] = frozenset(),
+) -> CompletenessResult:
+    """Bracket the operators pairwise until a bracket leaves their span.
 
-
-def pde_completeness(pde: PdeSystem) -> CompletenessResult:
-    """Each bracket must be a combination of the system's operators."""
-    operators = pde.operators
+    Pairs run in lexicographic order, skipping those in ``resolved``.  The
+    span solver is built at the first nonzero bracket.  The witness is the
+    bracket as computed, [L_i, L_j]; jacobian means every scanned bracket
+    is zero.
+    """
+    zero = operators[0].scope.zero
     solver: SpanSolver | None = None
     certificates: dict[tuple[int, int], SpanCertificate] = {}
-    excluded: list[Expr] = []
     brackets: dict[tuple[int, int], VectorField] = {}
-    jacobian = True
+    excluded: list[Expr] = []
     for i in range(len(operators)):
         for j in range(i + 1, len(operators)):
+            if (i, j) in resolved:
+                continue
             bracket = brackets[(i, j)] = operators[i].bracket(operators[j])
             if bracket.is_zero():
                 certificates[(i, j)] = SpanCertificate(
-                    member=True, coefficients=[pde.scope.zero] * len(operators)
+                    member=True, coefficients=[zero] * len(operators)
                 )
                 continue
-            jacobian = False
             if solver is None:
-                solver = SpanSolver(pde.coefficient_matrix())
+                solver = SpanSolver(
+                    ExprMatrix.from_rows([op.coefficient_row() for op in operators])
+                )
             certificate = solver.query(bracket.coefficient_row())
             certificates[(i, j)] = certificate
             merge_locus(excluded, certificate.excluded)
             if not certificate.member:
-                witness, _ = _orient(bracket)
                 return CompletenessResult(
                     complete=False,
                     jacobian=False,
                     certificates=certificates,
                     witness_pair=(i, j),
-                    witness_bracket=witness,
+                    witness_bracket=bracket,
                     excluded=excluded,
                     brackets=brackets,
+                    rank=solver.rank,
                 )
     return CompletenessResult(
-        True, jacobian, certificates, excluded=excluded, brackets=brackets
+        True, solver is None, certificates, excluded=excluded, brackets=brackets
     )
 
 
-def _fresh_name(taken: Sequence[str], k: int) -> str:
-    """The first generator name g{k}, g{k+1}, ... that is not yet taken."""
-    while f"g{k}" in taken:
-        k += 1
-    return f"g{k}"
+def frobenius_td(td: TdSystem) -> CompletenessResult:
+    """Complete solvability: all pairwise brackets must vanish.
+
+    A bracket of operators of differentiation has no d/dt part, so it lies
+    in their span only when it is zero: the family's cached bracket scan
+    decides, and its witness is the bracket as computed.
+    """
+    return td.family.bracket_scan
+
+
+def pde_completeness(pde: PdeSystem) -> CompletenessResult:
+    """Each bracket must be a combination of the system's operators.
+
+    The system's cached bracket scan, with the witness sign normalised.
+    """
+    scan = pde.bracket_scan
+    if scan.witness_bracket is None:
+        return scan
+    return replace(scan, witness_bracket=_orient(scan.witness_bracket)[0])
 
 
 @dataclass
@@ -189,7 +196,6 @@ class ClosureStep:
 
 @dataclass
 class ClosureResult:
-    original_count: int
     added: list[ClosureStep]
     defect: int
     completed: PdeSystem
@@ -198,22 +204,18 @@ class ClosureResult:
 
 
 def bracket_closure(
-    pde: PdeSystem,
-    max_generators: int | None = None,
-    *,
-    brackets: Mapping[tuple[int, int], VectorField] | None = None,
+    pde: PdeSystem, max_generators: int | None = None
 ) -> ClosureResult:
     """Add failing brackets as generators until complete (or capped).
 
-    Pairs are scanned in lexicographic order over the current generator list
-    and rescanned from the start after every addition; membership survives
-    span growth, so resolved pairs are cached.  Added operators are sign
-    normalized (first nonzero coefficient leads positive); a negated step
-    records the reversed bracket order.  ``brackets`` may hold brackets of
-    pde's operators already computed, by index pair (as a
-    ``CompletenessResult`` keeps them); each pair is bracketed at most once.
+    Each round is a bracket scan of the current generator list that skips
+    the pairs earlier rounds resolved (membership survives span growth), and
+    the first round is pde's cached scan, so each pair is bracketed once.
+    A round's witness, sign normalized (first nonzero coefficient leads
+    positive), becomes the next generator; a negated step records the
+    reversed bracket order.  An added generator is named g{k} for the first
+    k >= the new generator count whose name the family has not taken.
     """
-    known = brackets or {}
     scope = pde.scope
     cap = max_generators if max_generators is not None else len(scope)
     cap = max(cap, pde.m)
@@ -223,53 +225,36 @@ def bracket_closure(
     excluded: list[Expr] = []
     resolved: set[tuple[int, int]] = set()
     capped = False
+    scan = pde.bracket_scan
     while True:
-        solver = SpanSolver(
-            ExprMatrix.from_rows([g.coefficient_row() for g in generators])
-        )
-        grew = False
-        for i in range(len(generators)):
-            for j in range(i + 1, len(generators)):
-                if (i, j) in resolved:
-                    continue
-                bracket = known.get((i, j))
-                if bracket is None:
-                    bracket = generators[i].bracket(generators[j])
-                if bracket.is_zero():
-                    resolved.add((i, j))
-                    continue
-                certificate = solver.query(bracket.coefficient_row())
-                merge_locus(excluded, certificate.excluded)
-                if certificate.member:
-                    resolved.add((i, j))
-                    continue
-                operator, negated = _orient(bracket)
-                generators.append(operator)
-                name = _fresh_name(gen_names, len(generators))
-                gen_names.append(name)
-                added.append(
-                    ClosureStep(
-                        name=name,
-                        pair=(i, j),
-                        pair_names=(gen_names[i], gen_names[j]),
-                        negated=negated,
-                        operator=operator,
-                    )
-                )
-                resolved.add((i, j))
-                grew = True
-                break
-            if grew:
-                break
-        if not grew:
+        merge_locus(excluded, scan.excluded)
+        if scan.complete:
             break
+        i, j = scan.witness_pair
+        operator, negated = _orient(scan.witness_bracket)
+        generators.append(operator)
+        k = len(generators)
+        while f"g{k}" in gen_names:
+            k += 1
+        name = f"g{k}"
+        gen_names.append(name)
+        added.append(
+            ClosureStep(
+                name=name,
+                pair=(i, j),
+                pair_names=(gen_names[i], gen_names[j]),
+                negated=negated,
+                operator=operator,
+            )
+        )
         if len(generators) >= cap:
             # cut off unless the family already spans all n directions
-            capped = solver.rank + 1 < len(scope)
+            capped = scan.rank + 1 < len(scope)
             break
+        resolved.update(scan.certificates)
+        scan = _scan(generators, resolved)
     completed = PdeSystem(scope, tuple(generators), names=tuple(gen_names))
     return ClosureResult(
-        original_count=pde.m,
         added=added,
         defect=len(added),
         completed=completed,
@@ -319,8 +304,8 @@ def dimension_from_defect(system: System, defect: int) -> tuple[int, str]:
 def integral_basis_dimension(system: System) -> tuple[int, str]:
     """Dimension of the basis of first integrals, with a derivation note.
 
-    Runs a fresh bracket closure of the system's operator family; it does
-    not reuse the closure that ``analyze`` runs.
+    Runs its own bracket closure of the system's operator family; only the
+    family's cached first scan is shared with ``analyze``.
     """
     family, _ = operator_family(system)
     defect = bracket_closure(family).defect if family is not None else 0
@@ -542,12 +527,10 @@ def analyze(
     witness = None
     jacobian: bool | None = None
     family: PdeSystem | None = None
-    brackets: dict[tuple[int, int], VectorField] = {}  # of the family's pairs
 
     if system.kind == "td":
         rank_ok = True
         check = frobenius_td(system.td)
-        brackets = check.brackets
         verdict_name, verdict = "solvable", check.complete
         jacobian = check.complete
         if check.witness_bracket is not None:
@@ -555,7 +538,6 @@ def analyze(
     elif system.kind == "pde":
         rank_ok = system.pde.validate_rank()
         check = pde_completeness(system.pde)
-        brackets = check.brackets
         verdict_name, verdict = "complete", check.complete
         jacobian = check.jacobian
         merge_locus(excluded, check.excluded)
@@ -573,17 +555,13 @@ def analyze(
         elif check.completeness and check.completeness.witness_bracket is not None:
             witness = check.completeness.witness_bracket.print()
         family = check.family  # its locus is in check.excluded
-        if check.completeness is not None:
-            brackets = check.completeness.brackets
 
     if family is None:
         family, family_excluded = operator_family(system)
         merge_locus(excluded, family_excluded)
     defect, added, capped = 0, [], False
     if family is not None:
-        closure = bracket_closure(
-            family, max_generators=max_generators, brackets=brackets
-        )
+        closure = bracket_closure(family, max_generators=max_generators)
         merge_locus(excluded, closure.excluded)
         defect, added, capped = closure.defect, closure.added, closure.capped
     dimension, note = dimension_from_defect(system, defect)

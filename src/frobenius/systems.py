@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .expr import Expr, ExprError, Scope
 from .exterior import KForm, VectorField, differential
@@ -24,6 +24,9 @@ from .linalg import (
     invert,
     merge_locus,
 )
+
+if TYPE_CHECKING:
+    from .analysis import CompletenessResult
 
 __all__ = [
     "TdSystem",
@@ -105,9 +108,6 @@ class TdSystem:
         )
         return cls(tuple(indep), tuple(dep), lifted)
 
-    def operators(self, mode: str = "nonautonomous") -> list[VectorField]:
-        return td_to_pde(self, mode).operators
-
     @cached_property
     def family(self) -> PdeSystem:
         """The nonautonomous operators of differentiation, built once."""
@@ -159,6 +159,17 @@ class PdeSystem:
 
     def coefficient_matrix(self) -> ExprMatrix:
         return ExprMatrix.from_rows([op.coefficient_row() for op in self.operators])
+
+    @cached_property
+    def bracket_scan(self) -> CompletenessResult:
+        """The pairwise bracket scan of the operators, run once.
+
+        Completeness, solvability and the first round of bracket closure
+        all read it (``frobenius.analysis``).
+        """
+        from .analysis import _scan
+
+        return _scan(self.operators)
 
     def validate_rank(self) -> bool:
         return generic_rank(self.coefficient_matrix()) == self.m

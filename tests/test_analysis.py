@@ -367,8 +367,9 @@ class TestAnalyze:
 
 
 class TestBracketReuse:
-    """``analyze`` brackets each operator pair once: the closure reuses the
-    brackets that the solvability, completeness or closure check computed."""
+    """``analyze`` scans each operator pair once: the solvability,
+    completeness or closure check is the closure's first round, cached on
+    the operator family."""
 
     @pytest.mark.parametrize("name", ["ex_1_3", "ex_2_10", "ex_2_32", "ex_4_6"])
     def test_each_pair_is_bracketed_once(self, name, monkeypatch):
@@ -383,6 +384,38 @@ class TestBracketReuse:
         report = analyze(load_fixture(name))
         assert calls and len(calls) == len(set(calls))
         assert report.defect == len(report.added_generators)
+
+    @pytest.mark.parametrize("name", ["ex_2_10", "ex_4_7"])
+    def test_first_round_runs_once(self, name, monkeypatch):
+        """One span solver of the family's own operators, and no query twice."""
+        from frobenius.linalg import SpanSolver
+
+        def key(matrix):
+            return tuple(tuple(matrix.row(i)) for i in range(matrix.rows))
+
+        system = load_fixture(name)
+        if system.kind == "pde":
+            family = system.pde
+        else:
+            family = pfaff_contragredient(system.pfaff).pde
+        original = key(family.coefficient_matrix())
+        built, queries = [], []
+        init, query = SpanSolver.__init__, SpanSolver.query
+
+        def counting_init(self, generators):
+            built.append(key(generators))
+            init(self, generators)
+
+        def counting_query(self, target):
+            queries.append((key(self.generators), tuple(target)))
+            return query(self, target)
+
+        monkeypatch.setattr(SpanSolver, "__init__", counting_init)
+        monkeypatch.setattr(SpanSolver, "query", counting_query)
+        report = analyze(system)
+        assert report.added_generators
+        assert built.count(original) == 1
+        assert queries and len(queries) == len(set(queries))
 
     def test_pfaff_integrals_share_one_span_solver(self, monkeypatch):
         import frobenius.systems as systems
