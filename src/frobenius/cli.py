@@ -199,7 +199,7 @@ def _cmd_convert(args) -> int:
     if args.json:
         _emit(system_to_dict(converted), True, "")
     else:
-        sys.stdout.write(serialize(converted, "dsl"))
+        sys.stdout.write(serialize(converted))
     return 0
 
 
@@ -228,7 +228,7 @@ def _cmd_complete(args) -> int:
         human_lines.append(
             f"added {step.name} = {step.describe()} -> {step.operator.print()}"
         )
-    human_lines.append(serialize(completed, "dsl").rstrip("\n"))
+    human_lines.append(serialize(completed).rstrip("\n"))
     _emit(payload, args.json, "\n".join(human_lines))
     return 0
 

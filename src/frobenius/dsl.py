@@ -20,7 +20,6 @@ an optional ``*``-joined coefficient expression on the left.
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Sequence
 
@@ -289,15 +288,8 @@ def _build_pfaff(variables, form_rows, completion_rows, name, source) -> System:
     return System(kind="pfaff", pfaff=pfaff, name=name, source=source)
 
 
-def serialize(system: System, fmt: str = "dsl") -> str:
-    if fmt == "dsl":
-        return _serialize_dsl(system)
-    if fmt == "json":
-        return json.dumps(system_to_dict(system), indent=2) + "\n"
-    raise SystemError(f"unknown serialization format {fmt!r}")
-
-
-def _serialize_dsl(system: System) -> str:
+def serialize(system: System) -> str:
+    """The system in the file format, which ``parse_system`` reads back."""
     lines = [f"kind: {system.kind}"]
     if system.kind == "td":
         td = system.td

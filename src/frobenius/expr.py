@@ -488,6 +488,9 @@ class Expr:
         other groups' denominators, and one ``_from_polys`` call merges the
         kernels and cancels once.  A sum that is zero returns before any gcd,
         which suits the self-checks of certificates: their sums are zero.
+        It stays beside ``_sum_over_lcm`` because a zero test needs no gcd,
+        while the lcm merge takes one per group; a sum that is a value to
+        keep, such as a bracket coefficient, takes ``_sum_over_lcm``.
         """
         ring, groups = cls._product_groups(scope, pairs)
         if not groups:
@@ -508,7 +511,10 @@ class Expr:
         (num*b + group_num*a)/(den*b).  That costs one gcd of two
         denominators per merge and one cancel at the end, and keeps the
         merged denominator from growing by the shared factors.  Sums of
-        polynomials need no gcd at all.
+        polynomials need no gcd at all.  This is the sum for values that are
+        kept (every coefficient the exterior layer forms): they stay small
+        over the lcm.  A sum that is only tested for zero takes the
+        gcd-free ``_sum_of_products``.
         """
         ring, groups = cls._product_groups(scope, pairs)
         if not groups:
@@ -834,7 +840,8 @@ def _print_terms(terms: list[tuple], names: Sequence[str]) -> str:
             if coeff > 0:
                 pieces.append(body)
             elif magnitude == 1 and factors and _top_level_caret(factors[0]):
-                # unary minus binds before '^', so -x^2 would negate x only
+                # -1*x^2, not -x^2: the form the pinned outputs print, and
+                # one that reads the same whichever of '-' and '^' binds first
                 pieces.append(f"-1*{body}")
             else:
                 pieces.append(f"-{body}")
@@ -890,8 +897,10 @@ class _Parser:
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base ('^' integer)?
-    base   := rational | varid | 'exp' '(' expr ')' | '(' expr ')' | '-' base
+    factor := '-' factor | base ('^' integer)?
+    base   := rational | varid | 'exp' '(' expr ')' | '(' expr ')'
+
+    ``^`` binds tighter than unary minus: ``-x^2`` is ``-(x^2)``.
     """
 
     def __init__(self, text: str, scope: Scope):
@@ -951,6 +960,9 @@ class _Parser:
                 return value
 
     def _factor(self) -> Expr:
+        if self._peek() == "-":
+            self.pos += 1
+            return -self._factor()
         value = self._base()
         if self._peek() == "^":
             self.pos += 1
@@ -959,9 +971,6 @@ class _Parser:
 
     def _base(self) -> Expr:
         ch = self._peek()
-        if ch == "-":
-            self.pos += 1
-            return -self._base()
         if ch == "(":
             self.pos += 1
             value = self._expr()

@@ -6,16 +6,11 @@ exterior form of uniform degree with strictly increasing index tuples; sign
 normalization happens eagerly at construction so zero-testing is a map
 emptiness check.
 
-One cancel per bracket coefficient: with kernel-free operands,
-``VectorField.apply`` and each coefficient of ``VectorField.bracket`` are
-one sum of products, formed on ring elements, grouped by denominator and
-merged over the lcm, and cancelled once (``Expr._sum_over_lcm``); sums of
-polynomials need no gcd.  Kernel-bearing operands are the exception and sum
-stepwise, one cancel per product and per partial sum.  Kernels with
-commensurable arguments (``exp(x)``, ``exp(2*x)``) are independent
-generators, so such a value's stored fraction may stay unreduced and its
-printed form depends on the order of the operations; the stepwise order is
-the one the printed outputs pin.
+One cancel per coefficient: ``VectorField.apply``, each coefficient of
+``VectorField.bracket``, and each coefficient of ``KForm.d`` and
+``KForm.wedge`` is one sum of products, formed on ring elements, grouped by
+denominator, merged over the lcm and cancelled once
+(``Expr._sum_over_lcm``); sums of polynomials need no gcd.
 """
 
 from __future__ import annotations
@@ -94,9 +89,6 @@ class VectorField:
     def __hash__(self) -> int:
         return hash((self._scope, frozenset(self._coefficients.items())))
 
-    def _has_kernels(self) -> bool:
-        return any(c.has_kernels() for c in self._coefficients.values())
-
     def _terms(self, expression: Expr) -> list[tuple[Expr, Expr]]:
         """The pairs (c_i, d(expression)/d x_i) of the directional derivative."""
         return [
@@ -104,49 +96,32 @@ class VectorField:
         ]
 
     def apply(self, expression: Expr) -> Expr:
-        """Directional derivative sum(c_i * d(expression)/d x_i).
-
-        Kernel-free, it is one sum with one cancel; kernel-bearing, the
-        documented stepwise sum (see the module docstring).
-        """
+        """Directional derivative sum(c_i * d(expression)/d x_i), one cancel."""
         if expression.scope != self._scope:
             expression = self._scope.lift(expression)
-        if not (expression.has_kernels() or self._has_kernels()):
-            return Expr._sum_over_lcm(self._scope, self._terms(expression))
-        result = self._scope.zero
-        for coeff, partial in self._terms(expression):
-            result = result + coeff * partial
-        return result
+        return Expr._sum_over_lcm(self._scope, self._terms(expression))
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """Commutator [self, other] as a first-order operator.
 
-        Its k-th coefficient is sum(X_i dY_k/dx_i) - sum(Y_i dX_k/dx_i).  With
-        kernel-free operands each coefficient is one sum of those 2n products
-        over the lcm of their denominators, with one cancel
-        (``Expr._sum_over_lcm``); polynomial operands need no gcd at all.
-        Kernel-bearing operands take the stepwise path
-        ``self.apply(Y_k) - other.apply(X_k)``, whose unreduced forms over
-        commensurable kernels are the printed ones.
+        Its k-th coefficient is sum(X_i dY_k/dx_i) - sum(Y_i dX_k/dx_i), one
+        sum of those 2n products over the lcm of their denominators, with
+        one cancel (``Expr._sum_over_lcm``); polynomial operands need no gcd.
         """
         if other.scope != self._scope:
             raise ExprError("scope mismatch in bracket")
-        names = set(self._coefficients) | set(other._coefficients)
-        coefficients = {}
-        if self._has_kernels() or other._has_kernels():
-            for name in names:
-                coefficients[name] = self.apply(other.coefficient(name)) - other.apply(
-                    self.coefficient(name)
-                )
-        else:
-            negated = -other
-            for name in names:
-                coefficients[name] = Expr._sum_over_lcm(
+        negated = -other
+        return VectorField(
+            self._scope,
+            {
+                name: Expr._sum_over_lcm(
                     self._scope,
                     self._terms(other.coefficient(name))
                     + negated._terms(self.coefficient(name)),
                 )
-        return VectorField(self._scope, coefficients)
+                for name in set(self._coefficients) | set(other._coefficients)
+            },
+        )
 
     def __add__(self, other: "VectorField") -> "VectorField":
         if other.scope != self._scope:
@@ -216,7 +191,11 @@ def _coefficient_prefix(coeff: Expr) -> tuple[int, str | None]:
 
 
 def _first_factor_caret(text: str) -> bool:
-    """'^' at top level before any '*' (unary minus would bind wrongly)."""
+    """'^' at top level before any '*'.
+
+    Such a coefficient keeps its sign inside the body ('-1*x^2*@x'), the
+    form the pinned outputs print.
+    """
     depth = 0
     for ch in text:
         if ch == "(":
@@ -365,38 +344,37 @@ class KForm:
     def d(self) -> "KForm":
         """Exterior derivative, one degree higher."""
         scope = self._scope
-        result: dict[tuple[int, ...], Expr] = {}
+        unit = {1: scope.one, -1: -scope.one}
+        pairs: dict[tuple[int, ...], list[tuple[Expr, Expr]]] = {}
         for idx, coeff in self._terms.items():
             for position, name in enumerate(scope.names):
-                partial = coeff.diff(name)
-                if partial.is_zero():
-                    continue
                 extended, sign = _sort_with_sign((position,) + idx)
-                if sign == 0:
-                    continue
-                value = partial if sign > 0 else -partial
-                if extended in result:
-                    value = result[extended] + value
-                result[extended] = value
-        return self._from_indices(scope, self._degree + 1, result)
+                if sign:
+                    pairs.setdefault(extended, []).append(
+                        (unit[sign], coeff.diff(name))
+                    )
+        return self._from_indices(
+            scope,
+            self._degree + 1,
+            {i: Expr._sum_over_lcm(scope, group) for i, group in pairs.items()},
+        )
 
     def wedge(self, other: "KForm") -> "KForm":
         if other.scope != self._scope:
             raise ExprError("scope mismatch in wedge")
-        degree = self._degree + other._degree
-        result: dict[tuple[int, ...], Expr] = {}
+        pairs: dict[tuple[int, ...], list[tuple[Expr, Expr]]] = {}
         for left_idx, left_coeff in self._terms.items():
             for right_idx, right_coeff in other._terms.items():
                 combined, sign = _sort_with_sign(left_idx + right_idx)
-                if sign == 0:
-                    continue
-                value = left_coeff * right_coeff
-                if sign < 0:
-                    value = -value
-                if combined in result:
-                    value = result[combined] + value
-                result[combined] = value
-        return self._from_indices(self._scope, degree, result)
+                if sign:
+                    pairs.setdefault(combined, []).append(
+                        (left_coeff, right_coeff if sign > 0 else -right_coeff)
+                    )
+        return self._from_indices(
+            self._scope,
+            self._degree + other._degree,
+            {i: Expr._sum_over_lcm(self._scope, group) for i, group in pairs.items()},
+        )
 
     def __str__(self) -> str:
         return self.print()

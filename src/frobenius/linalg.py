@@ -8,9 +8,11 @@ rows and columns is the signed product of the pivot values.  Each elimination
 step returns canonical forms (the expression layer cancels
 numerator/denominator gcds).  Sums of products (matrix products, span
 coefficients) and the self-checks of certificates, inverses and solutions
-cancel once per returned value, through ``Expr._sum_of_products``; a
-self-check's sum is zero and needs no gcd.  The pivot rule is deterministic:
-smallest printed form, ties broken by lowest row then column.
+cancel once per returned value, through ``Expr._sum_of_products``: the
+groups are cross-multiplied, so a self-check's sum, which is zero, needs no
+gcd.  The exterior layer's coefficients are values that must stay small,
+and sum over the lcm instead (``Expr._sum_over_lcm``).  The pivot rule is
+deterministic: smallest printed form, ties broken by lowest row then column.
 Every pivot contributes its numerator and denominator factors to an excluded
 locus so callers can report where the generic answer degenerates.
 """

@@ -110,7 +110,7 @@ class TdSystem:
 
     @cached_property
     def family(self) -> PdeSystem:
-        """The nonautonomous operators of differentiation, built once."""
+        """The operators of differentiation (``td_to_pde``), built once."""
         return td_to_pde(self)
 
 
@@ -268,40 +268,17 @@ class System:
         return self.body.scope
 
 
-def td_to_pde(td: TdSystem, mode: str = "nonautonomous") -> PdeSystem:
-    """Operators of differentiation along the system's directions.
-
-    nonautonomous: d/dt_j + sum_i X[i][j] d/dx_i on the joint scope;
-    autonomous: sum_i X[i][j] d/dx_i on the dependent scope (entries must not
-    reference independents).
-    """
-    if mode == "nonautonomous":
-        scope = td.scope
-        operators = []
-        for j, t_name in enumerate(td.indep):
-            coeffs = {t_name: scope.one}
-            for i, x_name in enumerate(td.dep):
-                coeffs[x_name] = td.entries[i][j]
-            operators.append(VectorField(scope, coeffs))
-        return PdeSystem(scope, tuple(operators))
-    if mode == "autonomous":
-        indep_set = set(td.indep)
-        for row in td.entries:
-            for entry in row:
-                if entry.variables() & indep_set:
-                    raise SystemError(
-                        "autonomous operators need entries free of independents"
-                    )
-        scope = Scope(td.dep)
-        operators = []
-        for j in range(td.m):
-            coeffs = {
-                x_name: scope.lift(td.entries[i][j])
-                for i, x_name in enumerate(td.dep)
-            }
-            operators.append(VectorField(scope, coeffs))
-        return PdeSystem(scope, tuple(operators))
-    raise SystemError(f"unknown mode {mode!r}")
+def td_to_pde(td: TdSystem) -> PdeSystem:
+    """Operators of differentiation d/dt_j + sum_i X[i][j] d/dx_i on the
+    joint scope."""
+    scope = td.scope
+    operators = []
+    for j, t_name in enumerate(td.indep):
+        coeffs = {t_name: scope.one}
+        for i, x_name in enumerate(td.dep):
+            coeffs[x_name] = td.entries[i][j]
+        operators.append(VectorField(scope, coeffs))
+    return PdeSystem(scope, tuple(operators))
 
 
 def pde_normalize(

@@ -248,11 +248,11 @@ def _conversions_of(system: System):
     out = []
     if system.kind == "td":
         td = system.td
-        out.append(System(kind="pde", pde=td_to_pde(td, "nonautonomous")))
+        out.append(System(kind="pde", pde=td_to_pde(td)))
         out.append(System(kind="pfaff", pfaff=td_to_pfaff(td)))
         from frobenius.analysis import bracket_closure
 
-        closure = bracket_closure(td_to_pde(td, "nonautonomous"))
+        closure = bracket_closure(td_to_pde(td))
         if 0 < closure.defect < td.n:
             reduced, _ = td_defect_reduction(td)
             out.append(System(kind="td", td=reduced))

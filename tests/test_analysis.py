@@ -447,9 +447,9 @@ class TestBracketReuse:
         built = []
         td_to_pde = systems.td_to_pde
 
-        def counting(td, mode="nonautonomous"):
-            built.append(mode)
-            return td_to_pde(td, mode)
+        def counting(td):
+            built.append(td)
+            return td_to_pde(td)
 
         monkeypatch.setattr(systems, "td_to_pde", counting)
         system = load_fixture("ex_1_7")
@@ -457,7 +457,7 @@ class TestBracketReuse:
         texts = [item["expr"] for item in sidecar["integrals"]] + ["x1"]
         report = analyze(system, [system.scope.parse(t) for t in texts])
         assert len(report.integrals) == len(texts) >= 2
-        assert built == ["nonautonomous"]
+        assert built == [system.td]
 
 
 class TestDimensionBounds:
@@ -493,5 +493,5 @@ class TestSolvabilityTransfer:
 
         td = load_fixture(name).td
         solvable = frobenius_td(td).complete
-        complete = pde_completeness(td_to_pde(td, "nonautonomous")).complete
+        complete = pde_completeness(td_to_pde(td)).complete
         assert solvable == complete

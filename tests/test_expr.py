@@ -103,6 +103,22 @@ class TestParsing:
     def test_exp_zero_collapses(self, joint):
         assert joint.parse("exp(x1 - x1)").is_one()
 
+    def test_power_binds_tighter_than_unary_minus(self):
+        scope = Scope(["x", "y"])
+        x, y = scope.var("x"), scope.var("y")
+        # oracle: the values built by arithmetic, with the sign outside the power
+        cases = {
+            "-x^2": -(x * x),
+            "-x^2*y + 1": -(x * x) * y + 1,
+            "2*-x^2": 2 * -(x * x),
+            "-2^2": scope.const(-4),
+            "-exp(x)^2": -(scope.exp(x) * scope.exp(x)),
+            "x - -y^2": x + y * y,
+        }
+        for text, expected in cases.items():
+            assert scope.parse(text) == expected, text
+        assert scope.parse("(-x)^2") == x * x
+
     def test_print_parse_round_trip(self, joint):
         texts = [
             "x1/t1 + t1*x2",

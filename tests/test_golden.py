@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_fixture
 from frobenius.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -155,3 +155,79 @@ if __name__ == "__main__":
         else:
             golden.unlink(missing_ok=True)
     (GOLDEN / f"{CHECK_FIXTURES}.json").write_text(_check_fixtures(), encoding="utf-8")
+
+
+# the residuals of ex_1_3-kernels as summed stepwise, one cancel per product
+# and per partial sum
+STEPWISE_KERNEL_RESIDUALS = [
+    [
+        (
+            "(-1*t1^2*x1^2*x2 - 2*t1^2*x1*x2*exp(t1) - t1^2*x2*exp(2*t1) - "
+            "t1*x1^2*exp(t1) - 2*t1*x1*exp(2*t1) - x1^3 - 2*x1^2*exp(t1) - "
+            "t1*exp(3*t1) - x1*exp(2*t1))/(t1*x1^4 + 4*t1*x1^3*exp(t1) + "
+            "6*t1*x1^2*exp(2*t1) + 4*t1*x1*exp(3*t1) + t1*exp(4*t1))"
+        ),
+        "-t1*x2/(x1^2 + 2*x1*exp(t1) + exp(2*t1))",
+    ],
+    [
+        (
+            "(-1*t1^2*x2^2*x3^4*exp(t1 + 2*t2) + 4*t1^2*x2^2*x3^3*exp(2*t1 + 3*t2) "
+            "+ t1^2*x2*x3^4*exp(t1 + 2*t2) - t1^2*x3^5*exp(t2) - "
+            "t1*x1*x3^5*exp(t2) + x1^2*x3^5*exp(t2) - 6*t1^2*x2^2*x3^2*exp(3*t1 + "
+            "4*t2) - 4*t1^2*x2*x3^3*exp(2*t1 + 3*t2) + 5*t1^2*x3^4*exp(t1 + 2*t2) "
+            "+ 5*t1*x1*x3^4*exp(t1 + 2*t2) - 5*x1^2*x3^4*exp(t1 + 2*t2) + "
+            "4*t1^2*x2^2*x3*exp(4*t1 + 5*t2) + 6*t1^2*x2*x3^2*exp(3*t1 + 4*t2) - "
+            "10*t1^2*x3^3*exp(2*t1 + 3*t2) - 10*t1*x1*x3^3*exp(2*t1 + 3*t2) + "
+            "10*x1^2*x3^3*exp(2*t1 + 3*t2) - t1^2*x2^2*exp(5*t1 + 6*t2) - "
+            "4*t1^2*x2*x3*exp(4*t1 + 5*t2) + 10*t1^2*x3^2*exp(3*t1 + 4*t2) + "
+            "10*t1*x1*x3^2*exp(3*t1 + 4*t2) - 10*x1^2*x3^2*exp(3*t1 + 4*t2) + "
+            "t1^2*x2*exp(5*t1 + 6*t2) - 5*t1^2*x3*exp(4*t1 + 5*t2) - "
+            "5*t1*x1*x3*exp(4*t1 + 5*t2) + 5*x1^2*x3*exp(4*t1 + 5*t2) + "
+            "t1^2*exp(5*t1 + 6*t2) + t1*x1*exp(5*t1 + 6*t2) - x1^2*exp(5*t1 + "
+            "6*t2))/(t1^2*x3^6 - 6*t1^2*x3^5*exp(t1 + t2) + 15*t1^2*x3^4*exp(2*t1 "
+            "+ 2*t2) - 20*t1^2*x3^3*exp(3*t1 + 3*t2) + 15*t1^2*x3^2*exp(4*t1 + "
+            "4*t2) - 6*t1^2*x3*exp(5*t1 + 5*t2) + t1^2*exp(6*t1 + 6*t2))"
+        ),
+        (
+            "(-1*t1^2*x2^3*x3^4*exp(t2) - t1^2*x2*x3^6*exp(t2) + "
+            "4*t1^2*x2^3*x3^3*exp(t1 + 2*t2) - t1^2*x2^2*x3^4*exp(t1 + 2*t2) + "
+            "5*t1^2*x2*x3^5*exp(t1 + 2*t2) + t1^2*x2*x3^5*exp(t2) - "
+            "6*t1^2*x2^3*x3^2*exp(2*t1 + 3*t2) + 4*t1^2*x2^2*x3^3*exp(2*t1 + 3*t2) "
+            "- 10*t1^2*x2*x3^4*exp(2*t1 + 3*t2) - 4*t1^2*x2*x3^4*exp(t1 + 2*t2) - "
+            "t1^2*x3^5*exp(t2) - t1*x1*x3^5*exp(t2) + x1^2*x3^5*exp(t2) + "
+            "4*t1^2*x2^3*x3*exp(3*t1 + 4*t2) - 6*t1^2*x2^2*x3^2*exp(3*t1 + 4*t2) + "
+            "6*t1^2*x2*x3^3*exp(2*t1 + 3*t2) + 10*t1^2*x2*x3^3*exp(3*t1 + 4*t2) + "
+            "5*t1^2*x3^4*exp(t1 + 2*t2) + 5*t1*x1*x3^4*exp(t1 + 2*t2) - "
+            "5*x1^2*x3^4*exp(t1 + 2*t2) - t1^2*x2^3*exp(4*t1 + 5*t2) + "
+            "4*t1^2*x2^2*x3*exp(4*t1 + 5*t2) - 4*t1^2*x2*x3^2*exp(3*t1 + 4*t2) - "
+            "5*t1^2*x2*x3^2*exp(4*t1 + 5*t2) - 10*t1^2*x3^3*exp(2*t1 + 3*t2) - "
+            "10*t1*x1*x3^3*exp(2*t1 + 3*t2) + 10*x1^2*x3^3*exp(2*t1 + 3*t2) - "
+            "t1^2*x2^2*exp(5*t1 + 6*t2) + t1^2*x2*x3*exp(4*t1 + 5*t2) + "
+            "t1^2*x2*x3*exp(5*t1 + 6*t2) + 10*t1^2*x3^2*exp(3*t1 + 4*t2) + "
+            "10*t1*x1*x3^2*exp(3*t1 + 4*t2) - 10*x1^2*x3^2*exp(3*t1 + 4*t2) - "
+            "5*t1^2*x3*exp(4*t1 + 5*t2) - 5*t1*x1*x3*exp(4*t1 + 5*t2) + "
+            "5*x1^2*x3*exp(4*t1 + 5*t2) + t1^2*exp(5*t1 + 6*t2) + t1*x1*exp(5*t1 + "
+            "6*t2) - x1^2*exp(5*t1 + 6*t2))/(t1^2*x3^6 - 6*t1^2*x3^5*exp(t1 + t2) "
+            "+ 15*t1^2*x3^4*exp(2*t1 + 2*t2) - 20*t1^2*x3^3*exp(3*t1 + 3*t2) + "
+            "15*t1^2*x3^2*exp(4*t1 + 4*t2) - 6*t1^2*x3*exp(5*t1 + 5*t2) + "
+            "t1^2*exp(6*t1 + 6*t2))"
+        ),
+    ],
+]
+
+
+def test_kernel_residuals_keep_their_values():
+    """The ex_1_3-kernels residuals print smaller over the lcm, same values.
+
+    Over commensurable kernels (exp(t1), exp(2*t1), ...) a stored fraction
+    may stay unreduced, so the one sum over the lcm prints other forms than
+    the stepwise sum did; each pinned residual must equal the old one.
+    """
+    scope = load_fixture("ex_1_3").scope
+    golden = json.loads((GOLDEN / "ex_1_3-kernels.json").read_text(encoding="utf-8"))
+    residuals = [entry["residuals"] for entry in golden["integrals"]]
+    assert [len(r) for r in residuals] == [len(r) for r in STEPWISE_KERNEL_RESIDUALS]
+    for now, before in zip(residuals, STEPWISE_KERNEL_RESIDUALS):
+        for current, stepwise in zip(now, before):
+            assert len(current) <= len(stepwise)
+            assert (scope.parse(current) - scope.parse(stepwise)).is_zero()

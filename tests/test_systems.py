@@ -1,6 +1,5 @@
 """System model: DSL round trips, validation, and conversions."""
 
-import json
 import random
 
 import pytest
@@ -84,7 +83,7 @@ eq x1: 0 | 0
     def test_all_fixtures_round_trip(self):
         for path in sorted(FIXTURES.glob("*.dsys")):
             system = parse_system(path.read_text(encoding="utf-8"))
-            again = parse_system(serialize(system, "dsl"))
+            again = parse_system(serialize(system))
             assert again.kind == system.kind
             if system.kind == "td":
                 assert again.td.indep == system.td.indep
@@ -99,7 +98,7 @@ eq x1: 0 | 0
 
     def test_json_serialization_structure(self):
         system = load_fixture("ex_4_6")
-        payload = json.loads(serialize(system, "json"))
+        payload = system_to_dict(system)
         assert payload["kind"] == "pfaff"
         assert len(payload["entries"]) == 1
         assert payload["vars"] == ["x", "y", "z"]
@@ -109,7 +108,7 @@ eq x1: 0 | 0
 class TestTdToPde:
     def test_nonautonomous_operator_shape(self):
         td = load_fixture("ex_1_15").td
-        pde = td_to_pde(td, "nonautonomous")
+        pde = td_to_pde(td)
         scope = pde.scope
         expected = [
             VectorField(
@@ -121,17 +120,6 @@ class TestTdToPde:
         ]
         assert list(pde.operators) == expected
 
-    def test_autonomous_strips_parameters(self):
-        td = load_fixture("ex_3_9").td
-        pde = td_to_pde(td, "autonomous")
-        assert pde.scope.names == ("x3", "x4", "x5")
-        assert pde.operators[0].coefficient("x4") == pde.scope.var("x5")
-
-    def test_autonomous_rejects_parameter_dependence(self):
-        td = load_fixture("ex_1_3").td
-        with pytest.raises(SystemError, match="autonomous"):
-            td_to_pde(td, "autonomous")
-
     def test_zero_matrix_gives_bare_translations(self):
         text = """
 kind: td
@@ -140,7 +128,7 @@ dep: x1
 eq x1: 0 | 0
 """
         td = parse_system(text).td
-        pde = td_to_pde(td, "nonautonomous")
+        pde = td_to_pde(td)
         assert pde.operators[0] == VectorField(pde.scope, {"t1": pde.scope.one})
         assert pde.operators[1] == VectorField(pde.scope, {"t2": pde.scope.one})
 
@@ -164,7 +152,7 @@ class TestNormalization:
         # operators of the associated system reproduce the normal operators
         pde = load_fixture("ex_2_31").pde
         td = normal_pde_to_td(pde)
-        back = td_to_pde(td, "nonautonomous")
+        back = td_to_pde(td)
         assert set(back.scope.names) == set(pde.scope.names)
         lifted = [
             VectorField(
