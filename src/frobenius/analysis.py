@@ -9,7 +9,8 @@ part and so lie in their span only when they vanish.  Bracket closure adds
 each failing bracket as a generator and rescans until complete (or the
 variable-count cap), and the number added is the system's defect.  Each
 ``PdeSystem`` caches its first scan (``bracket_scan``), which a check and
-the closure after it share.
+the closure after it share, and its span solver, which every round's span
+queries read: no family's matrix is eliminated twice.
 ``operator_family`` picks the PDE family whose closure gives the defect, and
 ``dimension_from_defect`` holds the one dimension rule per kind: n - m - defect
 for PDE systems (0 when m = n), n - defect for total differential systems,
@@ -26,7 +27,6 @@ from .exterior import KForm, VectorField, differential
 from .linalg import (
     ExprMatrix,
     SpanCertificate,
-    SpanSolver,
     generic_rank,
     merge_locus,
     nonzero_value,
@@ -100,18 +100,19 @@ class CompletenessResult:
 
 
 def _scan(
-    operators: Sequence[VectorField],
+    family: PdeSystem,
     resolved: AbstractSet[tuple[int, int]] = frozenset(),
 ) -> CompletenessResult:
-    """Bracket the operators pairwise until a bracket leaves their span.
+    """Bracket a family's operators pairwise until one leaves their span.
 
-    Pairs run in lexicographic order, skipping those in ``resolved``.  The
-    span solver is built at the first nonzero bracket.  The witness is the
-    bracket as computed, [L_i, L_j]; jacobian means every scanned bracket
-    is zero.
+    Pairs run in lexicographic order, skipping those in ``resolved``.  A
+    nonzero bracket is queried against the family's cached solver
+    (``PdeSystem.span_solver``), so the scan eliminates no matrix of its
+    own.  The witness is the bracket as computed, [L_i, L_j]; jacobian
+    means every scanned bracket is zero.
     """
-    zero = operators[0].scope.zero
-    solver: SpanSolver | None = None
+    operators = family.operators
+    zero = family.scope.zero
     certificates: dict[tuple[int, int], SpanCertificate] = {}
     brackets: dict[tuple[int, int], VectorField] = {}
     excluded: list[Expr] = []
@@ -125,11 +126,7 @@ def _scan(
                     member=True, coefficients=[zero] * len(operators)
                 )
                 continue
-            if solver is None:
-                solver = SpanSolver(
-                    ExprMatrix.from_rows([op.coefficient_row() for op in operators])
-                )
-            certificate = solver.query(bracket.coefficient_row())
+            certificate = family.span_solver.query(bracket.coefficient_row())
             certificates[(i, j)] = certificate
             merge_locus(excluded, certificate.excluded)
             if not certificate.member:
@@ -141,10 +138,11 @@ def _scan(
                     witness_bracket=bracket,
                     excluded=excluded,
                     brackets=brackets,
-                    rank=solver.rank,
+                    rank=family.span_solver.rank,
                 )
+    jacobian = all(bracket.is_zero() for bracket in brackets.values())
     return CompletenessResult(
-        True, solver is None, certificates, excluded=excluded, brackets=brackets
+        True, jacobian, certificates, excluded=excluded, brackets=brackets
     )
 
 
@@ -252,7 +250,8 @@ def bracket_closure(
             capped = scan.rank + 1 < len(scope)
             break
         resolved.update(scan.certificates)
-        scan = _scan(generators, resolved)
+        family = PdeSystem(scope, tuple(generators), names=tuple(gen_names))
+        scan = _scan(family, resolved)
     completed = PdeSystem(scope, tuple(generators), names=tuple(gen_names))
     return ClosureResult(
         added=added,
@@ -468,23 +467,13 @@ def pfaff_closure_check(pf: PfaffSystem, method: str = "both") -> ClosureCheck:
             completeness = pde_completeness(family)
             merge_locus(excluded, completeness.excluded)
             contra_verdict = completeness.complete
-    if method == "wedge":
-        return ClosureCheck(wedge_verdict, method, wedge_witness=wedge_witness)
-    if method == "contragredient":
-        return ClosureCheck(
-            contra_verdict,
-            method,
-            family=family,
-            completeness=completeness,
-            excluded=excluded,
-        )
-    if wedge_verdict != contra_verdict:
+    if method == "both" and wedge_verdict != contra_verdict:
         raise MethodDisagreement(
             f"wedge says {'closed' if wedge_verdict else 'not closed'}, "
             f"dual operators say {'closed' if contra_verdict else 'not closed'}"
         )
     return ClosureCheck(
-        wedge_verdict,
+        contra_verdict if wedge_verdict is None else wedge_verdict,
         method,
         wedge_witness=wedge_witness,
         family=family,

@@ -179,35 +179,11 @@ def _coefficient_prefix(coeff: Expr) -> tuple[int, str | None]:
     if (-coeff).is_one():
         return -1, None
     text = coeff.print()
-    if (
-        text.startswith("-")
-        and _is_tight_factor(text[1:])
-        and not _first_factor_caret(text[1:])
-    ):
+    if text.startswith("-") and _is_tight_factor(text[1:]):
         return -1, text[1:]
     if _is_tight_factor(text):
         return 1, text
     return 1, f"({text})"
-
-
-def _first_factor_caret(text: str) -> bool:
-    """'^' at top level before any '*'.
-
-    Such a coefficient keeps its sign inside the body ('-1*x^2*@x'), the
-    form the pinned outputs print.
-    """
-    depth = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0:
-            if ch == "*":
-                return False
-            if ch == "^":
-                return True
-    return False
 
 
 def _is_tight_factor(text: str) -> bool:

@@ -4,7 +4,9 @@ A total differential system relates dependent differentials to independent
 ones (dx = X dt); a PDE system is a list of first-order operators annihilating
 an unknown scalar; a Pfaff system is a list of 1-form equations.  Conversions
 preserve first integrals; every pivot choice they make is recorded in an
-excluded locus attached to the result.
+excluded locus attached to the result.  A PDE or Pfaff system's coefficient
+matrix is eliminated once, by its cached ``span_solver``: the rank check,
+the default pivots and every span query read that one result.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .linalg import (
     LinalgError,
     SpanSolver,
     echelon,
-    generic_rank,
     invert,
     merge_locus,
 )
@@ -116,7 +117,11 @@ class TdSystem:
 
 @dataclass(frozen=True)
 class PdeSystem:
-    """First-order operators L_j annihilating an unknown scalar."""
+    """First-order operators L_j annihilating an unknown scalar.
+
+    The operators' coefficient matrix is eliminated once (``span_solver``);
+    the rank check and the bracket scan's span queries read that solver.
+    """
 
     scope: Scope
     operators: tuple[VectorField, ...]
@@ -161,6 +166,11 @@ class PdeSystem:
         return ExprMatrix.from_rows([op.coefficient_row() for op in self.operators])
 
     @cached_property
+    def span_solver(self) -> SpanSolver:
+        """The solver of span queries against the operators, built once."""
+        return SpanSolver(self.coefficient_matrix())
+
+    @cached_property
     def bracket_scan(self) -> CompletenessResult:
         """The pairwise bracket scan of the operators, run once.
 
@@ -169,10 +179,10 @@ class PdeSystem:
         """
         from .analysis import _scan
 
-        return _scan(self.operators)
+        return _scan(self)
 
     def validate_rank(self) -> bool:
-        return generic_rank(self.coefficient_matrix()) == self.m
+        return self.span_solver.rank == self.m
 
     def normal_rhs(self) -> dict[str, dict[str, Expr]]:
         """Solved form per pivot: pivot -> {other var -> coefficient}.
@@ -197,7 +207,12 @@ class PdeSystem:
 
 @dataclass(frozen=True)
 class PfaffSystem:
-    """1-form equations w_j = 0."""
+    """1-form equations w_j = 0.
+
+    The forms' coefficient matrix is eliminated once (``span_solver``); the
+    rank check, the contragredient's default completion and every span query
+    of a first integral's differential read that solver.
+    """
 
     scope: Scope
     forms: tuple[KForm, ...]
@@ -236,7 +251,7 @@ class PfaffSystem:
         return SpanSolver(self.coefficient_matrix())
 
     def validate_rank(self) -> bool:
-        return generic_rank(self.coefficient_matrix()) == self.m
+        return self.span_solver.rank == self.m
 
 
 @dataclass
@@ -258,6 +273,8 @@ class System:
             raise SystemError("exactly one system variant must be present")
         if self.kind not in ("td", "pde", "pfaff"):
             raise SystemError(f"unknown system kind {self.kind!r}")
+        if getattr(self, self.kind) is None:
+            raise SystemError(f"kind {self.kind!r} names a missing body")
 
     @property
     def body(self) -> TdSystem | PdeSystem | PfaffSystem:
@@ -367,15 +384,18 @@ def td_to_pfaff(td: TdSystem) -> PfaffSystem:
 def pfaff_to_td(
     pf: PfaffSystem, pivot_cols: Sequence[str] | None = None
 ) -> tuple[TdSystem, list[Expr]]:
-    """Solve the forms for m differentials, yielding dx_pivot = X d(rest)."""
+    """Solve the forms for m differentials, yielding dx_pivot = X d(rest).
+
+    One elimination of the form matrix with the pivot columns first, pivoting
+    in those columns only, leaves [I | A^-1 R] in the reduced rows: A is the
+    pivot block and R the rest.  The default pivots are those of the forms'
+    cached solver.
+    """
     scope = pf.scope
-    matrix = pf.coefficient_matrix()
-    excluded: list[Expr] = []
     if pivot_cols is None:
-        result = echelon(matrix)
-        if result.rank < pf.m:
+        if pf.span_solver.rank < pf.m:
             raise SystemError("forms are linearly bound; cannot solve")
-        pivot_names = [scope.names[c] for c in result.pivot_cols()]
+        pivot_names = [scope.names[c] for _, c in pf.span_solver.pivots]
     else:
         if len(pivot_cols) != pf.m:
             raise SystemError(f"need exactly {pf.m} pivot columns")
@@ -385,32 +405,26 @@ def pfaff_to_td(
     rest_names = [name for name in scope.names if name not in pivot_names]
     if not rest_names:
         raise SystemError("no remaining columns to act as independents")
-    pivot_block = ExprMatrix.from_rows(
-        [
-            [matrix.at(i, scope.index(name)) for name in pivot_names]
-            for i in range(pf.m)
-        ]
+    matrix = pf.coefficient_matrix()
+    columns = [scope.index(name) for name in pivot_names + rest_names]
+    result = echelon(
+        ExprMatrix.from_rows(
+            [[matrix.at(i, c) for c in columns] for i in range(pf.m)]
+        ),
+        pivot_col_limit=pf.m,
     )
-    try:
-        inverse, inv_excluded = invert(pivot_block)
-    except LinalgError as error:
-        raise SystemError(f"singular pivot choice: {error}") from error
-    merge_locus(excluded, inv_excluded)
-    rest_block = ExprMatrix.from_rows(
-        [
-            [matrix.at(i, scope.index(name)) for name in rest_names]
-            for i in range(pf.m)
-        ]
-    )
-    solved = inverse.mul(rest_block)  # rows: pivot differentials
-    new_scope = Scope(tuple(rest_names) + tuple(pivot_names))
-    rows = []
-    for i in range(len(pivot_names)):
-        rows.append(
-            tuple(-new_scope.lift(solved.at(i, j)) for j in range(len(rest_names)))
+    if result.rank < pf.m:
+        raise SystemError(
+            "singular pivot choice: matrix is singular over the function field"
         )
-    td = TdSystem(tuple(rest_names), tuple(pivot_names), tuple(rows))
-    return td, excluded
+    row_of = {c: r for r, c in result.pivots}
+    new_scope = Scope(tuple(rest_names) + tuple(pivot_names))
+    rows = tuple(
+        tuple(-new_scope.lift(e) for e in result.work[row_of[k]][pf.m :])
+        for k in range(pf.m)
+    )
+    td = TdSystem(tuple(rest_names), tuple(pivot_names), rows)
+    return td, list(result.excluded)
 
 
 @dataclass
@@ -440,10 +454,9 @@ def pfaff_contragredient(
     if completion is None and pf.completion is not None:
         completion = pf.completion
     if completion is None:
-        result = echelon(pf.coefficient_matrix())
-        if result.rank < pf.m:
+        if pf.span_solver.rank < pf.m:
             raise SystemError("forms are linearly bound")
-        pivot_cols = set(result.pivot_cols())
+        pivot_cols = {c for _, c in pf.span_solver.pivots}
         completion = [
             KForm(scope, 1, {(name,): scope.one})
             for i, name in enumerate(scope.names)

@@ -14,6 +14,30 @@ def scope4() -> Scope:
     return Scope(["x1", "x2", "x3", "x4"])
 
 
+@pytest.fixture
+def eliminations(monkeypatch) -> list:
+    """The pivot-eligible block of every elimination, in call order.
+
+    Wraps ``linalg._eliminate``, which every elimination runs through, and
+    records each call's matrix cut to its first ``pivot_col_limit`` columns
+    (all of them when there is no limit), as a tuple of row tuples.
+    """
+    from frobenius import linalg
+
+    blocks = []
+    eliminate = linalg._eliminate
+
+    def recording(matrix, prefer_cols, pivot_col_limit, reduced):
+        width = matrix.cols if pivot_col_limit is None else pivot_col_limit
+        blocks.append(
+            tuple(tuple(matrix.row(i)[:width]) for i in range(matrix.rows))
+        )
+        return eliminate(matrix, prefer_cols, pivot_col_limit, reduced)
+
+    monkeypatch.setattr(linalg, "_eliminate", recording)
+    return blocks
+
+
 def load_fixture(name: str):
     from frobenius.dsl import parse_system
 

@@ -386,36 +386,71 @@ class TestBracketReuse:
         assert report.defect == len(report.added_generators)
 
     @pytest.mark.parametrize("name", ["ex_2_10", "ex_4_7"])
-    def test_first_round_runs_once(self, name, monkeypatch):
-        """One span solver of the family's own operators, and no query twice."""
+    def test_first_round_runs_once(self, name, eliminations, monkeypatch):
+        """One elimination of the family's own operators, and no query twice."""
         from frobenius.linalg import SpanSolver
 
-        def key(matrix):
-            return tuple(tuple(matrix.row(i)) for i in range(matrix.rows))
+        queries = []
+        query = SpanSolver.query
 
+        def counting_query(self, target):
+            generators = self.generators
+            rows = tuple(tuple(generators.row(i)) for i in range(generators.rows))
+            queries.append((rows, tuple(target)))
+            return query(self, target)
+
+        monkeypatch.setattr(SpanSolver, "query", counting_query)
         system = load_fixture(name)
+        report = analyze(system)
         if system.kind == "pde":
             family = system.pde
         else:
             family = pfaff_contragredient(system.pfaff).pde
-        original = key(family.coefficient_matrix())
-        built, queries = [], []
-        init, query = SpanSolver.__init__, SpanSolver.query
-
-        def counting_init(self, generators):
-            built.append(key(generators))
-            init(self, generators)
-
-        def counting_query(self, target):
-            queries.append((key(self.generators), tuple(target)))
-            return query(self, target)
-
-        monkeypatch.setattr(SpanSolver, "__init__", counting_init)
-        monkeypatch.setattr(SpanSolver, "query", counting_query)
-        report = analyze(system)
+        matrix = family.coefficient_matrix()
+        original = tuple(tuple(matrix.row(i)) for i in range(matrix.rows))
         assert report.added_generators
-        assert built.count(original) == 1
+        assert eliminations.count(original) == 1
         assert queries and len(queries) == len(set(queries))
+
+    def test_no_matrix_is_eliminated_twice(self, eliminations, monkeypatch):
+        """Parsing and analysing a system eliminates each matrix once.
+
+        Rank checks, default pivots and span queries of one system read the
+        cached ``span_solver`` of its forms or operator family.  Covers the
+        fixtures with their listed integrals and the seed-1 generated
+        workloads with their planted ones.
+        """
+        import importlib.util
+        import json
+        import sys
+
+        from conftest import FIXTURES
+        from frobenius.dsl import parse_system
+
+        path = FIXTURES.parent / "perfbench" / "generate.py"
+        spec = importlib.util.spec_from_file_location("perfbench_generate", path)
+        generate = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, generate)
+        spec.loader.exec_module(generate)
+        cases = []
+        for dsys in sorted(FIXTURES.glob("*.dsys")):
+            expected = json.loads(
+                dsys.with_suffix(".expected.json").read_text(encoding="utf-8")
+            )
+            integrals = [item["expr"] for item in expected.get("integrals", [])]
+            cases.append((dsys.stem, dsys.read_text(encoding="utf-8"), integrals))
+        for workload in ("poly_closure", "rational_td"):
+            for gen in generate.workload(workload, 1):
+                cases.append((gen.name, gen.text, [p.dsl() for p in gen.integrals]))
+        assert len(cases) == 17 + 27
+        total = 0
+        for name, text, integrals in cases:
+            eliminations.clear()
+            system = parse_system(text, name=name)
+            analyze(system, [system.scope.parse(expr) for expr in integrals])
+            assert len(eliminations) == len(set(eliminations)), name
+            total += len(eliminations)
+        assert total <= 98
 
     def test_pfaff_integrals_share_one_span_solver(self, monkeypatch):
         import frobenius.systems as systems

@@ -7,6 +7,7 @@ import pytest
 from frobenius.dsl import DslError, parse_system, serialize, system_to_dict
 from frobenius.expr import Scope
 from frobenius.exterior import KForm, VectorField, differential
+from frobenius.linalg import ExprMatrix, echelon, invert
 from frobenius.systems import (
     PdeSystem,
     System,
@@ -39,6 +40,14 @@ class TestParsing:
         pde = load_fixture("ex_2_10").pde
         with pytest.raises(SystemError, match="duplicate operator name"):
             PdeSystem(pde.scope, pde.operators, names=("g3", "g3"))
+
+    @pytest.mark.parametrize("kind", ["td", "pde", "pfaff"])
+    def test_kind_must_name_the_present_body(self, kind):
+        td = load_fixture("ex_1_7").td
+        bodies = {"td": td, "pde": td_to_pde(td), "pfaff": td_to_pfaff(td)}
+        other = "pde" if kind == "td" else "td"
+        with pytest.raises(SystemError, match=f"kind {kind!r} names a missing body"):
+            System(kind=kind, **{other: bodies[other]})
 
     def test_rank_deficient_forms_rejected(self):
         text = """
@@ -202,6 +211,33 @@ class TestPfaffConversions:
         # columns x1, x4 of the two forms are [[1,1],[1,1]]: singular
         with pytest.raises(SystemError, match="singular"):
             pfaff_to_td(pf, pivot_cols=["x1", "x4"])
+
+    @pytest.mark.parametrize(
+        "name", ["ex_4_1", "ex_4_3", "ex_4_6", "ex_4_7", "ex_4_8"]
+    )
+    def test_default_pivots_passed_explicitly_agree(self, name):
+        """The default pivots, named explicitly, give the same system and
+        locus; both match -A^-1 R of the pivot block A by inversion."""
+        pf = load_fixture(name).pfaff
+        assert pf.m < pf.n
+        td, locus = pfaff_to_td(pf)
+        matrix = pf.coefficient_matrix()
+        full = echelon(matrix)
+        assert list(td.dep) == [pf.scope.names[c] for c in full.pivot_cols()]
+        assert pfaff_to_td(pf, pivot_cols=list(td.dep)) == (td, locus)
+
+        def block(names):
+            columns = [pf.scope.index(v) for v in names]
+            return ExprMatrix.from_rows(
+                [[matrix.at(i, c) for c in columns] for i in range(pf.m)]
+            )
+
+        inverse, inverse_locus = invert(block(td.dep))
+        solved = inverse.mul(block(td.indep))
+        assert locus == inverse_locus
+        for i, row in enumerate(td.entries):
+            for j, entry in enumerate(row):
+                assert entry == -td.scope.lift(solved.at(i, j))
 
     def test_auto_pivot_preserves_integrals(self):
         system = load_fixture("ex_4_7")
