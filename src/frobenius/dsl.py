@@ -15,7 +15,9 @@ Format (``#`` starts a comment anywhere):
     pivots: x1 x4           # pde only, marks an already-normal system
 
 Differentials are written ``d(x1)`` and operator slots ``@x1``; both accept
-an optional ``*``-joined coefficient expression on the left.
+an optional ``*``-joined coefficient expression on the left.  Each header
+line (``kind``, ``indep``, ``dep``, ``vars``, ``pivots``) appears at most
+once, and a line of another kind's is an error.
 """
 
 from __future__ import annotations
@@ -30,6 +32,14 @@ from .systems import PdeSystem, PfaffSystem, System, SystemError, TdSystem
 __all__ = ["parse_system", "serialize", "DslError"]
 
 _NAME_RE = re.compile(r"\A[a-z][a-z0-9_]*\Z")
+
+# header lines, each of which may appear once, and the lines each kind takes
+_HEADERS = ("kind", "indep", "dep", "vars", "pivots")
+_DIRECTIVES = {
+    "td": ("kind", "indep", "dep", "eq"),
+    "pde": ("kind", "vars", "pivots", "op"),
+    "pfaff": ("kind", "vars", "form", "completion"),
+}
 
 
 class DslError(SystemError):
@@ -157,6 +167,7 @@ def parse_system(text: str, name: str = "", source: str = "") -> System:
     op_rows: list[tuple[str, str, int]] = []
     form_rows: list[tuple[str, str, int]] = []
     completion_rows: list[tuple[str, str, int]] = []
+    first_line: dict[str, int] = {}  # directive -> line of its first use
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -167,6 +178,10 @@ def parse_system(text: str, name: str = "", source: str = "") -> System:
         head, value = line.split(":", 1)
         head = head.strip()
         value = value.strip()
+        directive = head if head in _HEADERS else head.split(" ", 1)[0]
+        if head in _HEADERS and head in first_line:
+            raise DslError(f"repeated '{head}:' line", line_no)
+        first_line.setdefault(directive, line_no)
         if head == "kind":
             if value not in ("td", "pde", "pfaff"):
                 raise DslError(f"unknown kind {value!r}", line_no)
@@ -196,6 +211,14 @@ def parse_system(text: str, name: str = "", source: str = "") -> System:
 
     if kind is None:
         raise DslError("missing 'kind:' line", 1)
+    misplaced = sorted(
+        (line_no, directive)
+        for directive, line_no in first_line.items()
+        if directive not in _DIRECTIVES[kind]
+    )
+    if misplaced:
+        line_no, directive = misplaced[0]
+        raise DslError(f"a {kind} system takes no '{directive}' line", line_no)
     if kind == "td":
         return _build_td(indep, dep, eq_rows, eq_order, name, source)
     if kind == "pde":

@@ -218,9 +218,6 @@ class Scope:
         ring = _ring(self.ring.symbols + expr._p.ring.symbols[len(expr.scope):])
         return Expr._from_polys(self, expr._p.set_ring(ring), expr._q.set_ring(ring))
 
-    def extended(self, extra: Sequence[str]) -> "Scope":
-        return Scope(self._names + tuple(extra))
-
     # -- kernels ------------------------------------------------------------
 
     def _kernel(self, argument: "Expr") -> sm.Symbol:

@@ -1,8 +1,8 @@
 """Linear algebra over the field of symbolic expressions.
 
 Generic rank, determinants, inversion, solving, and span membership with
-validated certificates.  One pivot loop eliminates over the field, reduced
-(``echelon``, ``SpanSolver``) or forward only (``rank_echelon``); rank,
+validated certificates.  One pivot loop eliminates over the field to reduced
+rows (``echelon``), pivoting in a given set of eligible columns; rank,
 determinant and witness minors are read off its pivots: a minor on the pivot
 rows and columns is the signed product of the pivot values.  Each elimination
 step returns canonical forms (the expression layer cancels
@@ -93,13 +93,6 @@ class ExprMatrix:
     def to_rows(self) -> list[list[Expr]]:
         return [self.row(i) for i in range(self.rows)]
 
-    def transpose(self) -> "ExprMatrix":
-        return ExprMatrix(
-            self.cols,
-            self.rows,
-            [self.at(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
-
     def mul(self, other: "ExprMatrix") -> "ExprMatrix":
         if self.cols != other.rows:
             raise LinalgError("dimension mismatch in product")
@@ -183,19 +176,17 @@ def _locus_factors(entry: Expr, into: list[Expr]) -> None:
 def _eliminate(
     matrix: ExprMatrix,
     prefer_cols: Sequence[int] | None,
-    pivot_col_limit: int | None,
-    reduced: bool,
+    eligible: Iterable[int] | None,
 ) -> Echelon:
-    """Row elimination by full pivoting under the deterministic rule.
+    """Reduced row elimination by full pivoting under the deterministic rule.
 
-    Each pivot row is scaled to a leading one and cleared from the rows that
-    are still free, or from every other row when reduced.  The free rows, and
-    so the pivots, their values and the locus, are the same either way.
+    Pivots are taken in the eligible columns only (all of them when None).
+    Each pivot row is scaled to a leading one and cleared from every other
+    row.
     """
     work = [list(matrix.row(i)) for i in range(matrix.rows)]
-    n_cols = matrix.cols if pivot_col_limit is None else pivot_col_limit
     free_rows = set(range(matrix.rows))
-    free_cols = set(range(n_cols))
+    free_cols = set(range(matrix.cols) if eligible is None else eligible)
     pivots: list[tuple[int, int]] = []
     values: list[Expr] = []
     excluded: list[Expr] = []
@@ -222,7 +213,7 @@ def _eliminate(
         inv = pivot.scope.one / pivot
         work[r] = [inv * e for e in work[r]]
         free_rows.discard(r)
-        for other in range(matrix.rows) if reduced else free_rows:
+        for other in range(matrix.rows):
             if other == r:
                 continue
             factor = work[other][c]
@@ -240,24 +231,21 @@ def _eliminate(
 def echelon(
     matrix: ExprMatrix,
     prefer_cols: Sequence[int] | None = None,
-    pivot_col_limit: int | None = None,
+    eligible: Iterable[int] | None = None,
 ) -> Echelon:
     """Reduced row echelon by full pivoting under the deterministic rule.
 
     prefer_cols forces the first pivots into the given columns in order and
-    raises if one of them admits no nonzero pivot.  pivot_col_limit restricts
-    pivoting to the first so many columns (augmented systems).
+    raises if one of them admits no nonzero pivot.  eligible names the
+    columns pivots may take (all of them when None): the coefficient block of
+    an augmented system, or a chosen pivot set.
     """
-    return _eliminate(matrix, prefer_cols, pivot_col_limit, reduced=True)
+    return _eliminate(matrix, prefer_cols, eligible)
 
 
 def rank_echelon(matrix: ExprMatrix) -> Echelon:
-    """Forward elimination only: pivots, their values and the excluded locus.
-
-    The pivots and locus are those of ``echelon``; rows above a pivot are
-    left unreduced.
-    """
-    return _eliminate(matrix, None, None, reduced=False)
+    """Pivots, their values and the excluded locus: ``echelon``'s result."""
+    return echelon(matrix)
 
 
 def generic_rank(matrix: ExprMatrix) -> int:
@@ -266,7 +254,7 @@ def generic_rank(matrix: ExprMatrix) -> int:
 
 
 def determinant(matrix: ExprMatrix) -> Expr:
-    """Exact determinant: the signed product of the forward pivots."""
+    """Exact determinant: the signed product of the pivot values."""
     if matrix.rows != matrix.cols:
         raise LinalgError("determinant requires a square matrix")
     result = rank_echelon(matrix)
@@ -312,7 +300,7 @@ def solve(
         [matrix.row(i) + [rhs[i]] for i in range(matrix.rows)]
     )
     result = echelon(
-        augmented, prefer_cols=pivot_cols, pivot_col_limit=matrix.cols
+        augmented, prefer_cols=pivot_cols, eligible=range(matrix.cols)
     )
     pivot_rows = {r for r, _ in result.pivots}
     for r in range(matrix.rows):
@@ -349,7 +337,9 @@ class SpanCertificate:
 class SpanSolver:
     """Reduced row basis of a generator family for repeated span queries.
 
-    Eliminates [G | I] once; each query reduces the target against the
+    Eliminates [G | I] once, pivoting in G's columns (``elimination``: its
+    pivots, values and locus are those of eliminating G alone, and its rows
+    begin with G's reduced rows); each query reduces the target against the
     reduced rows, which yields combination coefficients in the original
     generators (via the recorded transform) or a provably nonzero witness
     minor of the stacked matrix.  A member's coefficients are each one sum
@@ -367,8 +357,8 @@ class SpanSolver:
         augmented = ExprMatrix.from_rows(
             [generators.row(i) + identity.row(i) for i in range(m)]
         )
-        result = echelon(augmented, pivot_col_limit=n)
-        self._elimination = result
+        result = echelon(augmented, eligible=range(n))
+        self.elimination = result
         self.excluded = list(result.excluded)
         self.pivots = sorted(result.pivots, key=lambda rc: rc[1])
         self.rank = len(self.pivots)
@@ -380,7 +370,7 @@ class SpanSolver:
     @cached_property
     def _pivot_minor(self) -> Expr:
         """Determinant of the generators' pivot rows and columns."""
-        return self._elimination.minor()
+        return self.elimination.minor()
 
     def query(self, target: Sequence[Expr]) -> SpanCertificate:
         generators = self.generators

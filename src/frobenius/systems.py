@@ -6,7 +6,8 @@ an unknown scalar; a Pfaff system is a list of 1-form equations.  Conversions
 preserve first integrals; every pivot choice they make is recorded in an
 excluded locus attached to the result.  A PDE or Pfaff system's coefficient
 matrix is eliminated once, by its cached ``span_solver``: the rank check,
-the default pivots and every span query read that one result.
+the default pivots, the normal form, the solved total differential form and
+every span query read that one result.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ class PdeSystem:
     """First-order operators L_j annihilating an unknown scalar.
 
     The operators' coefficient matrix is eliminated once (``span_solver``);
-    the rank check and the bracket scan's span queries read that solver.
+    the rank check, the normal form (``pde_normalize``) and the bracket
+    scan's span queries read that solver.
     """
 
     scope: Scope
@@ -210,8 +212,9 @@ class PfaffSystem:
     """1-form equations w_j = 0.
 
     The forms' coefficient matrix is eliminated once (``span_solver``); the
-    rank check, the contragredient's default completion and every span query
-    of a first integral's differential read that solver.
+    rank check, the contragredient's default completion, the solved total
+    differential form (``pfaff_to_td``) and every span query of a first
+    integral's differential read that solver.
     """
 
     scope: Scope
@@ -233,6 +236,8 @@ class PfaffSystem:
             )
         if len(self.names) != len(self.forms):
             raise SystemError("form name count mismatch")
+        if len(set(self.names)) != len(self.names):
+            raise SystemError("duplicate form name")
 
     @property
     def m(self) -> int:
@@ -305,14 +310,16 @@ def pde_normalize(
 
     Returns the normalized system (operators reordered by pivot variable)
     and the excluded locus of the elimination.  Already-normal systems pass
-    through untouched when no pivot preference is given.
+    through untouched when no pivot preference is given.  Pivots that begin
+    the order of the operators' cached elimination (``span_solver``), as no
+    pivots do, read it: forcing the pivot rule's own pick changes nothing.
     """
     if pde.normal_pivots is not None and pivots is None:
         return pde, []
     if pde.m > pde.n:
         raise SystemError("cannot normalize: more operators than variables")
     scope = pde.scope
-    prefer = None
+    prefer = []
     if pivots is not None:
         undeclared = [name for name in pivots if name not in scope.names]
         if undeclared:
@@ -322,11 +329,12 @@ def pde_normalize(
         if len(pivots) > pde.m:
             raise SystemError(f"{len(pivots)} pivots for {pde.m} operators")
         prefer = [scope.index(name) for name in pivots]
-    matrix = pde.coefficient_matrix()
-    try:
-        result = echelon(matrix, prefer_cols=prefer)
-    except LinalgError as error:
-        raise SystemError(str(error)) from error
+    result = pde.span_solver.elimination
+    if [c for _, c in result.pivots[: len(prefer)]] != prefer:
+        try:
+            result = echelon(pde.coefficient_matrix(), prefer_cols=prefer)
+        except LinalgError as error:
+            raise SystemError(str(error)) from error
     if result.rank < pde.m:
         raise SystemError(
             "no generically nonsingular pivot minor (operators linearly bound)"
@@ -386,16 +394,18 @@ def pfaff_to_td(
 ) -> tuple[TdSystem, list[Expr]]:
     """Solve the forms for m differentials, yielding dx_pivot = X d(rest).
 
-    One elimination of the form matrix with the pivot columns first, pivoting
-    in those columns only, leaves [I | A^-1 R] in the reduced rows: A is the
-    pivot block and R the rest.  The default pivots are those of the forms'
-    cached solver.
+    Eliminating the form matrix with pivots in the pivot columns only leaves
+    A^-1 R in the rest columns of the reduced rows: A is the pivot block and
+    R the rest.  The default pivots are those of the forms' cached
+    elimination (``span_solver``), which is read whenever the pivot set is
+    its own: pivoting in its pivot columns only picks the same pivots.
     """
     scope = pf.scope
+    solver = pf.span_solver
     if pivot_cols is None:
-        if pf.span_solver.rank < pf.m:
+        if solver.rank < pf.m:
             raise SystemError("forms are linearly bound; cannot solve")
-        pivot_names = [scope.names[c] for _, c in pf.span_solver.pivots]
+        pivot_names = [scope.names[c] for _, c in solver.pivots]
     else:
         if len(pivot_cols) != pf.m:
             raise SystemError(f"need exactly {pf.m} pivot columns")
@@ -405,23 +415,20 @@ def pfaff_to_td(
     rest_names = [name for name in scope.names if name not in pivot_names]
     if not rest_names:
         raise SystemError("no remaining columns to act as independents")
-    matrix = pf.coefficient_matrix()
-    columns = [scope.index(name) for name in pivot_names + rest_names]
-    result = echelon(
-        ExprMatrix.from_rows(
-            [[matrix.at(i, c) for c in columns] for i in range(pf.m)]
-        ),
-        pivot_col_limit=pf.m,
-    )
+    columns = [scope.index(name) for name in pivot_names]
+    result = solver.elimination
+    if columns != [c for _, c in solver.pivots]:
+        result = echelon(pf.coefficient_matrix(), eligible=columns)
     if result.rank < pf.m:
         raise SystemError(
             "singular pivot choice: matrix is singular over the function field"
         )
     row_of = {c: r for r, c in result.pivots}
+    rest = [scope.index(name) for name in rest_names]
     new_scope = Scope(tuple(rest_names) + tuple(pivot_names))
     rows = tuple(
-        tuple(-new_scope.lift(e) for e in result.work[row_of[k]][pf.m :])
-        for k in range(pf.m)
+        tuple(-new_scope.lift(result.work[row_of[c]][j]) for j in rest)
+        for c in columns
     )
     td = TdSystem(tuple(rest_names), tuple(pivot_names), rows)
     return td, list(result.excluded)

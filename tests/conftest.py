@@ -19,20 +19,22 @@ def eliminations(monkeypatch) -> list:
     """The pivot-eligible block of every elimination, in call order.
 
     Wraps ``linalg._eliminate``, which every elimination runs through, and
-    records each call's matrix cut to its first ``pivot_col_limit`` columns
-    (all of them when there is no limit), as a tuple of row tuples.
+    records each call's matrix cut to its ``eligible`` columns (all of them
+    when None), as a tuple of row tuples.
     """
     from frobenius import linalg
 
     blocks = []
     eliminate = linalg._eliminate
 
-    def recording(matrix, prefer_cols, pivot_col_limit, reduced):
-        width = matrix.cols if pivot_col_limit is None else pivot_col_limit
+    def recording(matrix, prefer_cols, eligible):
+        cols = range(matrix.cols) if eligible is None else list(eligible)
         blocks.append(
-            tuple(tuple(matrix.row(i)[:width]) for i in range(matrix.rows))
+            tuple(
+                tuple(matrix.at(i, j) for j in cols) for i in range(matrix.rows)
+            )
         )
-        return eliminate(matrix, prefer_cols, pivot_col_limit, reduced)
+        return eliminate(matrix, prefer_cols, eligible)
 
     monkeypatch.setattr(linalg, "_eliminate", recording)
     return blocks

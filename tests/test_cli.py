@@ -228,6 +228,33 @@ class TestConvert:
         assert payload["kind"] == "td"
         assert "2*x1 + x2 + 3" in payload["metadata"]["excluded_locus"]
 
+    def test_convert_reads_each_systems_elimination(self, eliminations):
+        """Parse plus ``convert --json`` of every fixture to every target.
+
+        Normal forms and solved total differential forms read the cached
+        elimination of the system's own matrix.  The only repeats left are
+        the defect reductions, which normalize the closure's completed
+        family: a new system equal to the closure's last round.
+        """
+        from frobenius.cli import main
+
+        total = 0
+        repeated = []
+        for path in sorted(FIXTURES.glob("*.dsys")):
+            for target in ("td", "pde", "pfaff", "normal"):
+                eliminations.clear()
+                main(["convert", str(path), "--to", target, "--json"])
+                total += len(eliminations)
+                repeats = len(eliminations) - len(set(eliminations))
+                if repeats:
+                    repeated.append((path.stem, target, repeats))
+        assert total <= 65
+        assert repeated == [
+            ("ex_1_3", "td", 1),
+            ("ex_1_7", "td", 1),
+            ("ex_3_9", "td", 1),
+        ]
+
 
 class TestCompleteAndBracket:
     def test_complete_emits_added_generators(self):

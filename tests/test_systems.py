@@ -7,9 +7,10 @@ import pytest
 from frobenius.dsl import DslError, parse_system, serialize, system_to_dict
 from frobenius.expr import Scope
 from frobenius.exterior import KForm, VectorField, differential
-from frobenius.linalg import ExprMatrix, echelon, invert
+from frobenius.linalg import ExprMatrix, LinalgError, echelon, invert
 from frobenius.systems import (
     PdeSystem,
+    PfaffSystem,
     System,
     SystemError,
     normal_pde_to_td,
@@ -23,6 +24,26 @@ from frobenius.systems import (
 )
 
 from conftest import FIXTURES, load_fixture, random_polynomial
+
+
+def _columns(pf, names) -> ExprMatrix:
+    """The named columns of a Pfaff system's form matrix."""
+    matrix = pf.coefficient_matrix()
+    columns = [pf.scope.index(v) for v in names]
+    return ExprMatrix.from_rows(
+        [[matrix.at(i, c) for c in columns] for i in range(pf.m)]
+    )
+
+
+def _assert_inverts_pivot_block(pf, td, locus):
+    """td's entries are -(A^-1 R) for the pivot block A and the rest R, and
+    its locus is that of inverting A."""
+    inverse, inverse_locus = invert(_columns(pf, td.dep))
+    solved = inverse.mul(_columns(pf, td.indep))
+    assert locus == inverse_locus
+    for i, row in enumerate(td.entries):
+        for j, entry in enumerate(row):
+            assert entry == -td.scope.lift(solved.at(i, j))
 
 
 class TestParsing:
@@ -40,6 +61,36 @@ class TestParsing:
         pde = load_fixture("ex_2_10").pde
         with pytest.raises(SystemError, match="duplicate operator name"):
             PdeSystem(pde.scope, pde.operators, names=("g3", "g3"))
+
+    def test_duplicate_form_names_rejected(self):
+        pf = load_fixture("ex_4_7").pfaff
+        with pytest.raises(SystemError, match="duplicate form name"):
+            PfaffSystem(pf.scope, pf.forms, names=("w", "w"))
+
+    @pytest.mark.parametrize(
+        "lines, line, message",
+        [
+            (["kind: pde", "vars: x1 x2", "op l1: @x1", "form w1: d(x2)"], 4,
+             "a pde system takes no 'form' line"),
+            (["kind: pde", "vars: x1 x2", "completion c1: d(x2)", "op l1: @x1"], 3,
+             "a pde system takes no 'completion' line"),
+            (["kind: td", "indep: t1", "dep: x1", "vars: t1 x1", "eq x1: 1"], 4,
+             "a td system takes no 'vars' line"),
+            (["kind: td", "indep: t1", "dep: x1", "eq x1: 1", "op l1: @x1"], 5,
+             "a td system takes no 'op' line"),
+            (["pivots: x1", "kind: pfaff", "vars: x1 x2", "form w1: d(x1)"], 1,
+             "a pfaff system takes no 'pivots' line"),
+            (["kind: pfaff", "vars: x1 x2", "form w1: d(x1)", "indep: x2"], 4,
+             "a pfaff system takes no 'indep' line"),
+            (["kind: pde", "vars: x1 x2", "vars: x1 x2 x3", "op l1: @x1"], 3,
+             "repeated 'vars:' line"),
+            (["kind: td", "indep: t1", "kind: pde", "vars: t1", "op l1: @t1"], 3,
+             "repeated 'kind:' line"),
+        ],
+    )
+    def test_lines_outside_the_kind_rejected(self, lines, line, message):
+        with pytest.raises(DslError, match=f"line {line}: {message}"):
+            parse_system("\n".join(lines) + "\n")
 
     @pytest.mark.parametrize("kind", ["td", "pde", "pfaff"])
     def test_kind_must_name_the_present_body(self, kind):
@@ -172,6 +223,18 @@ class TestNormalization:
         ]
         assert list(back.operators) == lifted
 
+    @pytest.mark.parametrize("name", ["ex_2_10", "ex_2_23", "ex_2_32"])
+    def test_leading_pivots_read_the_cached_elimination(self, name, eliminations):
+        """Pivots that begin the cached elimination's order, and no pivots,
+        normalize without eliminating again."""
+        pde = load_fixture(name).pde
+        order = [pde.scope.names[c] for _, c in pde.span_solver.elimination.pivots]
+        eliminations.clear()
+        default = pde_normalize(pde)
+        assert pde_normalize(pde, pivots=order[:1]) == default
+        assert pde_normalize(pde, pivots=order) == default
+        assert eliminations == []
+
     def test_missing_normal_info_rejected(self):
         pde = load_fixture("ex_2_10").pde
         with pytest.raises(SystemError, match="normal"):
@@ -215,29 +278,38 @@ class TestPfaffConversions:
     @pytest.mark.parametrize(
         "name", ["ex_4_1", "ex_4_3", "ex_4_6", "ex_4_7", "ex_4_8"]
     )
-    def test_default_pivots_passed_explicitly_agree(self, name):
+    def test_default_pivots_passed_explicitly_agree(self, name, eliminations):
         """The default pivots, named explicitly, give the same system and
-        locus; both match -A^-1 R of the pivot block A by inversion."""
+        locus, read off the forms' cached elimination; both match -A^-1 R of
+        the pivot block A by inversion."""
         pf = load_fixture(name).pfaff
         assert pf.m < pf.n
+        eliminations.clear()
         td, locus = pfaff_to_td(pf)
-        matrix = pf.coefficient_matrix()
-        full = echelon(matrix)
-        assert list(td.dep) == [pf.scope.names[c] for c in full.pivot_cols()]
         assert pfaff_to_td(pf, pivot_cols=list(td.dep)) == (td, locus)
+        assert eliminations == []
+        full = echelon(pf.coefficient_matrix())
+        assert list(td.dep) == [pf.scope.names[c] for c in full.pivot_cols()]
+        _assert_inverts_pivot_block(pf, td, locus)
 
-        def block(names):
-            columns = [pf.scope.index(v) for v in names]
-            return ExprMatrix.from_rows(
-                [[matrix.at(i, c) for c in columns] for i in range(pf.m)]
-            )
+    def test_every_pivot_set_matches_inversion(self):
+        """Each nonsingular pivot pair of ex_4_7 solves to -A^-1 R; each
+        singular one is rejected."""
+        from itertools import combinations
 
-        inverse, inverse_locus = invert(block(td.dep))
-        solved = inverse.mul(block(td.indep))
-        assert locus == inverse_locus
-        for i, row in enumerate(td.entries):
-            for j, entry in enumerate(row):
-                assert entry == -td.scope.lift(solved.at(i, j))
+        pf = load_fixture("ex_4_7").pfaff
+        solved_sets = 0
+        for pivots in combinations(pf.scope.names, pf.m):
+            try:
+                td, locus = pfaff_to_td(pf, pivot_cols=list(pivots))
+            except SystemError as error:
+                assert "singular pivot choice" in str(error)
+                with pytest.raises(LinalgError, match="singular"):
+                    invert(_columns(pf, pivots))
+                continue
+            _assert_inverts_pivot_block(pf, td, locus)
+            solved_sets += 1
+        assert 1 < solved_sets < 6
 
     def test_auto_pivot_preserves_integrals(self):
         system = load_fixture("ex_4_7")
