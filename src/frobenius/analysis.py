@@ -10,7 +10,8 @@ each failing bracket as a generator and rescans until complete (or the
 variable-count cap), and the number added is the system's defect.  Each
 ``PdeSystem`` caches its first scan (``bracket_scan``), which a check and
 the closure after it share, and its span solver, which every round's span
-queries read: no family's matrix is eliminated twice.
+queries read.  Each round's family is built once, and the last is the
+closure's ``completed`` family: no family's matrix is eliminated twice.
 ``operator_family`` picks the PDE family whose closure gives the defect, and
 ``dimension_from_defect`` holds the one dimension rule per kind: n - m - defect
 for PDE systems (0 when m = n), n - defect for total differential systems,
@@ -169,19 +170,16 @@ def pde_completeness(pde: PdeSystem) -> CompletenessResult:
 
 @dataclass
 class ClosureStep:
-    """One generator added during closure: bracket of generators (i, j)."""
+    """One generator added during closure: the bracket [left, right] of two
+    earlier generators, ordered so its first nonzero coefficient leads
+    positive."""
 
     name: str
-    pair: tuple[int, int]  # indices into the generator list at addition time
     pair_names: tuple[str, str]
-    negated: bool
     operator: VectorField
 
     def describe(self) -> str:
-        left, right = self.pair_names
-        if self.negated:
-            left, right = right, left
-        return f"[{left},{right}]"
+        return "[{},{}]".format(*self.pair_names)
 
     def to_dict(self) -> dict:
         """The JSON entry under ``added_generators``."""
@@ -194,6 +192,13 @@ class ClosureStep:
 
 @dataclass
 class ClosureResult:
+    """Outcome of bracket closure.
+
+    ``completed`` is the last round's family: the input's operators and
+    names followed by each added generator, with its span solver already
+    built when that round's scan queried it.
+    """
+
     added: list[ClosureStep]
     defect: int
     completed: PdeSystem
@@ -206,19 +211,19 @@ def bracket_closure(
 ) -> ClosureResult:
     """Add failing brackets as generators until complete (or capped).
 
-    Each round is a bracket scan of the current generator list that skips
-    the pairs earlier rounds resolved (membership survives span growth), and
-    the first round is pde's cached scan, so each pair is bracketed once.
-    A round's witness, sign normalized (first nonzero coefficient leads
-    positive), becomes the next generator; a negated step records the
-    reversed bracket order.  An added generator is named g{k} for the first
-    k >= the new generator count whose name the family has not taken.
+    Each round is a bracket scan of the current family that skips the pairs
+    earlier rounds resolved (membership survives span growth), and the first
+    round is pde's cached scan, so each pair is bracketed once.  A round's
+    witness, sign normalized (first nonzero coefficient leads positive),
+    extends the family by one generator, built once as a ``PdeSystem`` whose
+    solver the next round's scan reads; the last family is ``completed``.
+    An added generator is named g{k} for the first k >= the new generator
+    count whose name the family has not taken.
     """
     scope = pde.scope
     cap = max_generators if max_generators is not None else len(scope)
     cap = max(cap, pde.m)
-    generators = list(pde.operators)
-    gen_names = list(pde.names)
+    family = PdeSystem(scope, pde.operators, names=pde.names)
     added: list[ClosureStep] = []
     excluded: list[Expr] = []
     resolved: set[tuple[int, int]] = set()
@@ -230,33 +235,26 @@ def bracket_closure(
             break
         i, j = scan.witness_pair
         operator, negated = _orient(scan.witness_bracket)
-        generators.append(operator)
-        k = len(generators)
-        while f"g{k}" in gen_names:
+        names = family.names
+        k = len(names) + 1
+        while f"g{k}" in names:
             k += 1
         name = f"g{k}"
-        gen_names.append(name)
-        added.append(
-            ClosureStep(
-                name=name,
-                pair=(i, j),
-                pair_names=(gen_names[i], gen_names[j]),
-                negated=negated,
-                operator=operator,
-            )
+        pair = (names[j], names[i]) if negated else (names[i], names[j])
+        added.append(ClosureStep(name, pair, operator))
+        family = PdeSystem(
+            scope, family.operators + (operator,), names=names + (name,)
         )
-        if len(generators) >= cap:
+        if family.m >= cap:
             # cut off unless the family already spans all n directions
             capped = scan.rank + 1 < len(scope)
             break
         resolved.update(scan.certificates)
-        family = PdeSystem(scope, tuple(generators), names=tuple(gen_names))
         scan = _scan(family, resolved)
-    completed = PdeSystem(scope, tuple(generators), names=tuple(gen_names))
     return ClosureResult(
         added=added,
         defect=len(added),
-        completed=completed,
+        completed=family,
         excluded=excluded,
         capped=capped,
     )

@@ -56,7 +56,11 @@ def _strip_comment(text: str) -> str:
 
 
 def _split_top_level(text: str) -> list[tuple[str, str]]:
-    """Split a sum into (sign, term) pieces at top-level + and -."""
+    """Split a sum into (sign, term) pieces at top-level binary + and -.
+
+    A sign after ``^``, ``*``, ``/`` or another sign is unary and stays in
+    its term (``x^-1``, ``x*-y``); signs that open a term fold into its sign.
+    """
     pieces: list[tuple[str, str]] = []
     depth = 0
     current: list[str] = []
@@ -68,15 +72,14 @@ def _split_top_level(text: str) -> list[tuple[str, str]]:
             depth -= 1
         if depth == 0 and ch in "+-":
             piece = "".join(current).strip()
-            if piece:
+            if not piece:
+                sign = "+" if sign == ch else "-"
+                continue
+            if piece[-1] not in "^*/+-":
                 pieces.append((sign, piece))
                 current = []
                 sign = ch
-            elif not pieces:
-                sign = ch  # leading sign
-            else:
-                current.append(ch)  # inner sign of a coefficient like 'a + -b'
-            continue
+                continue
         current.append(ch)
     piece = "".join(current).strip()
     if piece:
@@ -163,7 +166,6 @@ def parse_system(text: str, name: str = "", source: str = "") -> System:
     variables: list[str] | None = None
     pivots: list[str] | None = None
     eq_rows: dict[str, list[str]] = {}
-    eq_order: list[str] = []
     op_rows: list[tuple[str, str, int]] = []
     form_rows: list[tuple[str, str, int]] = []
     completion_rows: list[tuple[str, str, int]] = []
@@ -199,7 +201,6 @@ def parse_system(text: str, name: str = "", source: str = "") -> System:
             if target in eq_rows:
                 raise DslError(f"duplicate equation for {target!r}", line_no)
             eq_rows[target] = [p.strip() for p in value.split("|")]
-            eq_order.append(target)
         elif head.startswith("op "):
             op_rows.append((head[3:].strip(), value, line_no))
         elif head.startswith("form "):
@@ -220,13 +221,13 @@ def parse_system(text: str, name: str = "", source: str = "") -> System:
         line_no, directive = misplaced[0]
         raise DslError(f"a {kind} system takes no '{directive}' line", line_no)
     if kind == "td":
-        return _build_td(indep, dep, eq_rows, eq_order, name, source)
+        return _build_td(indep, dep, eq_rows, name, source)
     if kind == "pde":
         return _build_pde(variables, op_rows, pivots, name, source)
     return _build_pfaff(variables, form_rows, completion_rows, name, source)
 
 
-def _build_td(indep, dep, eq_rows, eq_order, name, source) -> System:
+def _build_td(indep, dep, eq_rows, name, source) -> System:
     if indep is None or dep is None:
         raise DslError("td systems need 'indep:' and 'dep:' lines", 1)
     if set(indep) & set(dep):

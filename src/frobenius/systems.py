@@ -6,15 +6,15 @@ an unknown scalar; a Pfaff system is a list of 1-form equations.  Conversions
 preserve first integrals; every pivot choice they make is recorded in an
 excluded locus attached to the result.  A PDE or Pfaff system's coefficient
 matrix is eliminated once, by its cached ``span_solver``: the rank check,
-the default pivots, the normal form, the solved total differential form and
-every span query read that one result.
+the default pivots, the solved total differential form and every span query
+read that one result, and a normal form reads it whenever it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .expr import Expr, ExprError, Scope
 from .exterior import KForm, VectorField, differential
@@ -82,9 +82,6 @@ class TdSystem:
     def n(self) -> int:
         return len(self.dep)
 
-    def entry(self, dep_name: str, indep_name: str) -> Expr:
-        return self.entries[self.dep.index(dep_name)][self.indep.index(indep_name)]
-
     def warnings(self) -> list[str]:
         if self.m > self.n:
             return [
@@ -92,23 +89,6 @@ class TdSystem:
                 f"(m={self.m} > n={self.n})"
             ]
         return []
-
-    @classmethod
-    def build(
-        cls,
-        indep: Sequence[str],
-        dep: Sequence[str],
-        rows: Mapping[str, Sequence[Expr]] | Sequence[Sequence[Expr]],
-    ) -> "TdSystem":
-        scope = Scope(tuple(indep) + tuple(dep))
-        if isinstance(rows, Mapping):
-            ordered = [rows[name] for name in dep]
-        else:
-            ordered = list(rows)
-        lifted = tuple(
-            tuple(scope.lift(entry) for entry in row) for row in ordered
-        )
-        return cls(tuple(indep), tuple(dep), lifted)
 
     @cached_property
     def family(self) -> PdeSystem:
@@ -310,9 +290,11 @@ def pde_normalize(
 
     Returns the normalized system (operators reordered by pivot variable)
     and the excluded locus of the elimination.  Already-normal systems pass
-    through untouched when no pivot preference is given.  Pivots that begin
-    the order of the operators' cached elimination (``span_solver``), as no
-    pivots do, read it: forcing the pivot rule's own pick changes nothing.
+    through untouched when no pivot preference is given.  A family whose
+    ``span_solver`` is built (parsing and closure scans build it) is read
+    when the pivots begin its order, as no pivots do: forcing the pivot
+    rule's own pick changes nothing.  Otherwise only the operator matrix is
+    eliminated, and no solver is built.
     """
     if pde.normal_pivots is not None and pivots is None:
         return pde, []
@@ -329,8 +311,9 @@ def pde_normalize(
         if len(pivots) > pde.m:
             raise SystemError(f"{len(pivots)} pivots for {pde.m} operators")
         prefer = [scope.index(name) for name in pivots]
-    result = pde.span_solver.elimination
-    if [c for _, c in result.pivots[: len(prefer)]] != prefer:
+    # the cached elimination, if the family holds one
+    result = getattr(pde.__dict__.get("span_solver"), "elimination", None)
+    if result is None or [c for _, c in result.pivots[: len(prefer)]] != prefer:
         try:
             result = echelon(pde.coefficient_matrix(), prefer_cols=prefer)
         except LinalgError as error:
@@ -541,9 +524,12 @@ def td_defect_reduction(td: TdSystem) -> tuple[TdSystem, list[Expr]]:
     """Rename defect-many dependents as independents to reach solvability.
 
     Runs bracket closure on the operators of differentiation, normalizes the
-    completed system with the independents pinned as pivots, and reads the
-    associated total differential system back off.  Completely solvable
-    input passes through unchanged.
+    closure's last family with the independents pinned as pivots, and reads
+    the associated total differential system back off.  The independents
+    begin that family's pivot order (each d/dt_j row has a lone 1 in its
+    column, and no bracket has a d/dt part), so normalizing reads the
+    solver the last round's scan built.  Completely solvable input passes
+    through unchanged.
     """
     from .analysis import bracket_closure, frobenius_td
 

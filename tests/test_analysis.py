@@ -119,6 +119,9 @@ class TestBracketClosure:
         closure = bracket_closure(pde, max_generators=3)
         assert closure.defect == 1
         assert closure.capped
+        # the completed family still holds the generator added at the cap
+        assert closure.completed.names == pde.names + ("g3",)
+        assert closure.completed.operators[-1] == closure.added[0].operator
 
     def test_full_rank_at_the_cap_is_not_capped(self):
         # 2 operators on 4 variables close by adding 2: the default cap of 4

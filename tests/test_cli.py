@@ -232,9 +232,9 @@ class TestConvert:
         """Parse plus ``convert --json`` of every fixture to every target.
 
         Normal forms and solved total differential forms read the cached
-        elimination of the system's own matrix.  The only repeats left are
-        the defect reductions, which normalize the closure's completed
-        family: a new system equal to the closure's last round.
+        elimination of the system's own matrix, and a defect reduction
+        normalizes the closure's last family, whose solver its scan built:
+        no matrix is eliminated twice.
         """
         from frobenius.cli import main
 
@@ -248,12 +248,27 @@ class TestConvert:
                 repeats = len(eliminations) - len(set(eliminations))
                 if repeats:
                     repeated.append((path.stem, target, repeats))
-        assert total <= 65
-        assert repeated == [
-            ("ex_1_3", "td", 1),
-            ("ex_1_7", "td", 1),
-            ("ex_3_9", "td", 1),
-        ]
+        assert total <= 62
+        assert repeated == []
+
+    def test_td_normal_form_with_pivots_eliminates_once(self, eliminations):
+        """``convert <td> --to normal --pivots v`` eliminates only the
+        operator matrix, for every variable of every td fixture: it builds
+        no span solver to compare pivot orders."""
+        from conftest import load_fixture
+        from frobenius.cli import main
+
+        counts = {}
+        for path in sorted(FIXTURES.glob("*.dsys")):
+            system = load_fixture(path.stem)
+            if system.kind != "td":
+                continue
+            for name in system.scope.names:
+                eliminations.clear()
+                main(["convert", str(path), "--to", "normal", "--pivots", name])
+                counts[path.stem, name] = len(eliminations)
+        assert len(counts) == 32
+        assert set(counts.values()) == {1}
 
 
 class TestCompleteAndBracket:

@@ -1,6 +1,7 @@
 """System model: DSL round trips, validation, and conversions."""
 
 import random
+import re
 
 import pytest
 
@@ -24,6 +25,19 @@ from frobenius.systems import (
 )
 
 from conftest import FIXTURES, load_fixture, random_polynomial
+
+
+def _as_form(text: str) -> str:
+    """An operator row's text with each @x, @y written d(x), d(y)."""
+    return text.replace("@x", "d(x)").replace("@y", "d(y)")
+
+
+def _two_row_system(row_kind: str, row: str) -> str:
+    """A pde (``op``) or pfaff (``form``) system on x, y whose second row,
+    on line 4, is ``row`` written in that kind's markers."""
+    if row_kind == "op":
+        return f"kind: pde\nvars: x y\nop l0: @x\nop l1: {row}\n"
+    return f"kind: pfaff\nvars: x y\nform w0: d(x)\nform w1: {_as_form(row)}\n"
 
 
 def _columns(pf, names) -> ExprMatrix:
@@ -91,6 +105,41 @@ class TestParsing:
     def test_lines_outside_the_kind_rejected(self, lines, line, message):
         with pytest.raises(DslError, match=f"line {line}: {message}"):
             parse_system("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "row, expected",
+        [
+            ("x^-1*@y", "1/x*@y"),
+            ("x*-y*@y + @x", "@x - x*y*@y"),
+            ("x*@x - y^-2*@y", "x*@x - 1/(y^2)*@y"),
+            ("y/-2*@x + -(x)*@y", "-1/2*y*@x - x*@y"),
+            ("x*@x - -@y", "x*@x + @y"),
+        ],
+    )
+    @pytest.mark.parametrize("row_kind", ["op", "form"])
+    def test_unary_signs_stay_in_their_term(self, row, expected, row_kind):
+        """A sign after ^, *, / or another sign is part of a coefficient."""
+        system = parse_system(_two_row_system(row_kind, row))
+        if row_kind == "op":
+            assert system.pde.operators[1].print() == expected
+        else:
+            assert system.pfaff.forms[1].print() == _as_form(expected)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("x + @y", "term 'x' lacks a @var or d(var) marker"),
+            ("(x*@y", "term '(x*@y' lacks a @var or d(var) marker"),
+            ("x*@x*@y", "two markers in one term: 'x*@x*@y'"),
+            ("x^*@y", "bad coefficient in 'x^*@y'"),
+        ],
+    )
+    @pytest.mark.parametrize("row_kind", ["op", "form"])
+    def test_malformed_rows_rejected_at_their_line(self, row, message, row_kind):
+        if row_kind == "form":
+            message = _as_form(message)
+        with pytest.raises(DslError, match=re.escape(f"line 4: {message}")):
+            parse_system(_two_row_system(row_kind, row))
 
     @pytest.mark.parametrize("kind", ["td", "pde", "pfaff"])
     def test_kind_must_name_the_present_body(self, kind):
