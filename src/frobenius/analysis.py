@@ -12,7 +12,9 @@ variable-count cap), and the number added is the system's defect.  Each
 the closure after it share, and its span solver, which every round's span
 queries read.  Each round's family is built once, and the last is the
 closure's ``completed`` family: no family's matrix is eliminated twice.
-``operator_family`` picks the PDE family whose closure gives the defect, and
+``operator_family`` is the one way to the PDE family whose closure gives the
+defect: a Pfaff system's is its cached contragredient, which the closure
+check, ``analyze`` and the CLI all read, so it is built once per system.
 ``dimension_from_defect`` holds the one dimension rule per kind: n - m - defect
 for PDE systems (0 when m = n), n - defect for total differential systems,
 m - defect for Pfaff systems (n when m = n).
@@ -39,7 +41,6 @@ from .systems import (
     System,
     SystemError,
     TdSystem,
-    pfaff_contragredient,
 )
 
 __all__ = [
@@ -264,10 +265,11 @@ def operator_family(system: System) -> tuple[PdeSystem | None, list[Expr]]:
     """The PDE family whose common solutions are the system's first integrals.
 
     A PDE system is its own family, a total differential system gives its
-    operators of differentiation, and a Pfaff system with m < n the operators
-    dual to a frame completion (the contragredient), whose excluded locus is
-    returned alongside.  A square Pfaff system has none: its coordinates are
-    integrals.
+    operators of differentiation (``TdSystem.family``), and a Pfaff system
+    with m < n the operators dual to a frame completion (its cached
+    ``PfaffSystem.contragredient``).  The family's excluded locus comes
+    alongside, as a new list the caller may merge into.  A square Pfaff
+    system has no family: its coordinates are integrals.
     """
     if system.kind == "pde":
         return system.pde, []
@@ -276,8 +278,8 @@ def operator_family(system: System) -> tuple[PdeSystem | None, list[Expr]]:
     pf = system.pfaff
     if pf.m == pf.n:
         return None, []
-    contragredient = pfaff_contragredient(pf)
-    return contragredient.pde, contragredient.excluded
+    contragredient = pf.contragredient
+    return contragredient.pde, list(contragredient.excluded)
 
 
 def dimension_from_defect(system: System, defect: int) -> tuple[int, str]:
@@ -419,12 +421,14 @@ def functional_independence(
 
 @dataclass
 class ClosureCheck:
-    """Pfaff closure verdict with per-method witnesses."""
+    """Pfaff closure verdict with per-method witnesses.
+
+    ``completeness`` is the contragredient route's scan (None for the wedge
+    route alone or a square system), and ``excluded`` that route's locus.
+    """
 
     closed: bool
-    method: str
     wedge_witness: tuple[int, KForm] | None = None
-    family: PdeSystem | None = None  # the dual operators the check closed
     completeness: CompletenessResult | None = None
     excluded: list[Expr] = field(default_factory=list)
 
@@ -433,8 +437,9 @@ def pfaff_closure_check(pf: PfaffSystem, method: str = "both") -> ClosureCheck:
     """Closure via exterior products, the dual operators, or both.
 
     The wedge route tests d(w_j) ^ w_1 ^ ... ^ w_m = 0 for every j; the
-    contragredient route tests completeness of the dual operator system.
-    With method='both' any disagreement raises, since the two criteria are
+    contragredient route tests completeness of the dual operator system,
+    read from ``pf.contragredient`` (a square system is closed).  With
+    method='both' any disagreement raises, since the two criteria are
     equivalent.
     """
     if method not in ("wedge", "contragredient", "both"):
@@ -453,16 +458,14 @@ def pfaff_closure_check(pf: PfaffSystem, method: str = "both") -> ClosureCheck:
                 wedge_witness = (j, obstruction)
                 break
     contra_verdict = None
-    family = None
     completeness = None
     excluded: list[Expr] = []
     if method in ("contragredient", "both"):
-        family, family_excluded = operator_family(System("pfaff", pfaff=pf))
-        if family is None:
+        if pf.m == pf.n:
             contra_verdict = True  # square case: coordinate integrals exist
         else:
-            merge_locus(excluded, family_excluded)
-            completeness = pde_completeness(family)
+            merge_locus(excluded, pf.contragredient.excluded)
+            completeness = pde_completeness(pf.contragredient.pde)
             merge_locus(excluded, completeness.excluded)
             contra_verdict = completeness.complete
     if method == "both" and wedge_verdict != contra_verdict:
@@ -472,9 +475,7 @@ def pfaff_closure_check(pf: PfaffSystem, method: str = "both") -> ClosureCheck:
         )
     return ClosureCheck(
         contra_verdict if wedge_verdict is None else wedge_verdict,
-        method,
         wedge_witness=wedge_witness,
-        family=family,
         completeness=completeness,
         excluded=excluded,
     )
@@ -509,11 +510,11 @@ def analyze(
     max_generators: int | None = None,
 ) -> AnalysisReport:
     """Run the kind-appropriate battery and aggregate certified results."""
-    excluded: list[Expr] = list(system.excluded_locus)
+    family, excluded = operator_family(system)
+    merge_locus(excluded, system.excluded_locus)
     warnings = list(system.warnings)
     witness = None
     jacobian: bool | None = None
-    family: PdeSystem | None = None
 
     if system.kind == "td":
         rank_ok = True
@@ -541,11 +542,7 @@ def analyze(
             witness = f"d({pf.names[j]}) wedge forms = {obstruction.print()}"
         elif check.completeness and check.completeness.witness_bracket is not None:
             witness = check.completeness.witness_bracket.print()
-        family = check.family  # its locus is in check.excluded
 
-    if family is None:
-        family, family_excluded = operator_family(system)
-        merge_locus(excluded, family_excluded)
     defect, added, capped = 0, [], False
     if family is not None:
         closure = bracket_closure(family, max_generators=max_generators)

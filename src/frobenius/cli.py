@@ -156,33 +156,24 @@ def _convert(system: System, target: str, pivots: list[str] | None):
                 "its coordinates are first integrals"
             )
         return System(kind="pde", pde=pde), excluded
-    if kind == "td":
-        td = system.td
-        if target == "pfaff":
-            return System(kind="pfaff", pfaff=td_to_pfaff(td)), []
+    if kind == "td" and target == "pfaff":
+        return System(kind="pfaff", pfaff=td_to_pfaff(system.td)), []
+    if kind == "td" and target == "td":
+        reduced, excluded = td_defect_reduction(system.td)
+        return System(kind="td", td=reduced), excluded
+    if kind == "pfaff" and target == "td":
+        td, excluded = pfaff_to_td(system.pfaff, pivot_cols=pivots)
+        return System(kind="td", td=td), excluded
+    if kind != "pfaff" and target != "pde":  # td -> normal, pde -> normal/td/pfaff
+        normalized, excluded = pde_normalize(
+            operator_family(system)[0], pivots=pivots
+        )
         if target == "normal":
-            pde, excluded = pde_normalize(operator_family(system)[0], pivots=pivots)
-            return System(kind="pde", pde=pde), excluded
-        if target == "td":
-            reduced, excluded = td_defect_reduction(td)
-            return System(kind="td", td=reduced), excluded
-    elif kind == "pde":
-        pde = system.pde
-        if target == "normal":
-            normalized, excluded = pde_normalize(pde, pivots=pivots)
             return System(kind="pde", pde=normalized), excluded
+        td = normal_pde_to_td(normalized)
         if target == "td":
-            normalized, excluded = pde_normalize(pde, pivots=pivots)
-            return System(kind="td", td=normal_pde_to_td(normalized)), excluded
-        if target == "pfaff":
-            normalized, excluded = pde_normalize(pde, pivots=pivots)
-            td = normal_pde_to_td(normalized)
-            return System(kind="pfaff", pfaff=td_to_pfaff(td)), excluded
-    else:
-        pf = system.pfaff
-        if target == "td":
-            td, excluded = pfaff_to_td(pf, pivot_cols=pivots)
             return System(kind="td", td=td), excluded
+        return System(kind="pfaff", pfaff=td_to_pfaff(td)), excluded
     raise CliError(f"cannot convert a {kind} system to {target!r}")
 
 
@@ -297,12 +288,9 @@ def _check_one_fixture(path: Path, seed: int) -> tuple[bool, dict]:
         ],
     }
     mismatches = {}
-    for key in _EXPECTED_KEYS:
+    for key in _EXPECTED_KEYS + ("defect", "dimension"):
         if key in expected and expected[key] != actual.get(key):
             mismatches[key] = {"expected": expected[key], "actual": actual.get(key)}
-    for key in ("defect", "dimension"):
-        if key in expected and expected[key] != actual[key]:
-            mismatches[key] = {"expected": expected[key], "actual": actual[key]}
     for item, got in zip(expected.get("integrals", []), actual["integrals"]):
         if item["valid"] != got["valid"]:
             mismatches.setdefault("integrals", []).append(

@@ -116,6 +116,8 @@ def _parse_weighted_sum(
     collected: dict[str, Expr] = {}
     if text.strip() == "0":
         return collected
+    if text.rstrip().endswith(("+", "-")):
+        raise DslError(f"row ends in a dangling sign: {text.strip()!r}", line)
     for sign, piece in _split_top_level(text):
         factors = _split_factors(piece)
         marker_name = None
@@ -366,7 +368,7 @@ def system_to_dict(system: System) -> dict:
             out["completion"] = [form.print() for form in pfaff.completion]
     out["metadata"] = {
         "source": system.source,
-        "excluded_locus": [e.print() for e in system.excluded_locus],
+        "excluded_locus": sorted(e.print() for e in system.excluded_locus),
         "warnings": list(system.warnings),
     }
     return out

@@ -7,7 +7,9 @@ preserve first integrals; every pivot choice they make is recorded in an
 excluded locus attached to the result.  A PDE or Pfaff system's coefficient
 matrix is eliminated once, by its cached ``span_solver``: the rank check,
 the default pivots, the solved total differential form and every span query
-read that one result, and a normal form reads it whenever it is built.
+read that one result, and a normal form reads it whenever it is built.  A
+Pfaff system's dual operator family is built once as well, by its cached
+``contragredient``.
 """
 
 from __future__ import annotations
@@ -194,7 +196,9 @@ class PfaffSystem:
     The forms' coefficient matrix is eliminated once (``span_solver``); the
     rank check, the contragredient's default completion, the solved total
     differential form (``pfaff_to_td``) and every span query of a first
-    integral's differential read that solver.
+    integral's differential read that solver.  The dual operator family is
+    built once too (``contragredient``): the closure check reads it, and
+    ``analyze`` and the CLI reach it through ``analysis.operator_family``.
     """
 
     scope: Scope
@@ -237,6 +241,11 @@ class PfaffSystem:
 
     def validate_rank(self) -> bool:
         return self.span_solver.rank == self.m
+
+    @cached_property
+    def contragredient(self) -> Contragredient:
+        """The completed frame and its dual operators, built once (m < n)."""
+        return pfaff_contragredient(self)
 
 
 @dataclass
@@ -427,22 +436,20 @@ class Contragredient:
     excluded: list[Expr]
 
 
-def pfaff_contragredient(
-    pf: PfaffSystem, completion: Sequence[KForm] | None = None
-) -> Contragredient:
+def pfaff_contragredient(pf: PfaffSystem) -> Contragredient:
     """Extend the forms to a coframe and invert to get dual operators.
 
-    The completion defaults to coordinate differentials on the columns left
-    free by the elimination pivot rule; a supplied completion overrides it.
-    The returned PDE system consists of the operators dual to the added
-    forms; a scalar is a first integral of the Pfaff system exactly when
-    those operators annihilate it.
+    The completion is the system's own (``completion`` lines of its file),
+    else coordinate differentials on the columns left free by the pivots of
+    its cached ``span_solver``.  The returned PDE system consists of the
+    operators dual to the added forms; a scalar is a first integral of the
+    Pfaff system exactly when those operators annihilate it.  Callers read
+    it once per system through ``PfaffSystem.contragredient``.
     """
     scope = pf.scope
     if pf.m >= pf.n:
         raise SystemError("contragredient construction needs m < n")
-    if completion is None and pf.completion is not None:
-        completion = pf.completion
+    completion = pf.completion
     if completion is None:
         if pf.span_solver.rank < pf.m:
             raise SystemError("forms are linearly bound")
@@ -452,12 +459,11 @@ def pfaff_contragredient(
             for i, name in enumerate(scope.names)
             if i not in pivot_cols
         ]
-    completion = tuple(completion)
     if len(completion) != pf.n - pf.m:
         raise SystemError(
             f"completion must supply {pf.n - pf.m} forms, got {len(completion)}"
         )
-    extended = tuple(pf.forms) + completion
+    extended = (*pf.forms, *completion)
     frame = ExprMatrix.from_rows([form.coefficient_row() for form in extended])
     try:
         inverse, excluded = invert(frame)

@@ -289,17 +289,17 @@ class TestPfaffClosure:
     def test_square_system_closed(self):
         pf = load_fixture("ex_4_2").pfaff
         check = pfaff_closure_check(pf, "both")
-        assert check.closed and check.family is None
+        assert check.closed and check.completeness is None
 
     def test_check_keeps_the_operator_family_it_closed(self):
         pf = load_fixture("ex_4_6").pfaff
         check = pfaff_closure_check(pf, "contragredient")
         family, excluded = operator_family(System("pfaff", pfaff=pf))
-        assert check.family.operators == family.operators
+        assert family is pf.contragredient.pde
         assert all(e in check.excluded for e in excluded)
 
     def test_analyze_builds_one_contragredient(self, monkeypatch):
-        import frobenius.analysis as analysis
+        import frobenius.systems as systems
 
         calls = []
 
@@ -307,9 +307,32 @@ class TestPfaffClosure:
             calls.append(pf)
             return pfaff_contragredient(pf)
 
-        monkeypatch.setattr(analysis, "pfaff_contragredient", counting)
+        monkeypatch.setattr(systems, "pfaff_contragredient", counting)
         report = analyze(load_fixture("ex_4_6"))
         assert report.verdict and len(calls) == 1
+
+    def test_check_and_family_share_one_contragredient(self, monkeypatch):
+        """The closure check and every operator_family call read the
+        system's cached contragredient, and get a locus list of their own."""
+        import frobenius.systems as systems
+
+        calls = []
+
+        def counting(pf):
+            calls.append(pf)
+            return pfaff_contragredient(pf)
+
+        monkeypatch.setattr(systems, "pfaff_contragredient", counting)
+        system = load_fixture("ex_4_7")
+        pf = system.pfaff
+        assert pf.m < pf.n
+        pfaff_closure_check(pf, "contragredient")
+        first, first_excluded = operator_family(system)
+        second, second_excluded = operator_family(system)
+        assert first is second is pf.contragredient.pde
+        assert len(calls) == 1
+        first_excluded.append(pf.scope.parse("x1 + 1"))
+        assert second_excluded == pf.contragredient.excluded != first_excluded
 
 
 class TestAnalyze:

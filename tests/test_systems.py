@@ -132,6 +132,12 @@ class TestParsing:
             ("(x*@y", "term '(x*@y' lacks a @var or d(var) marker"),
             ("x*@x*@y", "two markers in one term: 'x*@x*@y'"),
             ("x^*@y", "bad coefficient in 'x^*@y'"),
+            ("@x +", "row ends in a dangling sign: '@x +'"),
+            ("@x - ", "row ends in a dangling sign: '@x -'"),
+            ("@x + +", "row ends in a dangling sign: '@x + +'"),
+            ("@x + @y -", "row ends in a dangling sign: '@x + @y -'"),
+            ("+", "row ends in a dangling sign: '+'"),
+            ("-", "row ends in a dangling sign: '-'"),
         ],
     )
     @pytest.mark.parametrize("row_kind", ["op", "form"])
