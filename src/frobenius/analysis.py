@@ -31,7 +31,7 @@ from .linalg import (
     ExprMatrix,
     SpanCertificate,
     generic_rank,
-    merge_locus,
+    locus_texts,
     nonzero_value,
     sample_points,
 )
@@ -96,7 +96,7 @@ class CompletenessResult:
     certificates: dict[tuple[int, int], SpanCertificate]
     witness_pair: tuple[int, int] | None = None
     witness_bracket: VectorField | None = None
-    excluded: list[Expr] = field(default_factory=list)
+    excluded: frozenset[Expr] = frozenset()
     brackets: dict[tuple[int, int], VectorField] = field(default_factory=dict)
     rank: int | None = None
 
@@ -117,7 +117,7 @@ def _scan(
     zero = family.scope.zero
     certificates: dict[tuple[int, int], SpanCertificate] = {}
     brackets: dict[tuple[int, int], VectorField] = {}
-    excluded: list[Expr] = []
+    excluded: frozenset[Expr] = frozenset()
     for i in range(len(operators)):
         for j in range(i + 1, len(operators)):
             if (i, j) in resolved:
@@ -130,7 +130,7 @@ def _scan(
                 continue
             certificate = family.span_solver.query(bracket.coefficient_row())
             certificates[(i, j)] = certificate
-            merge_locus(excluded, certificate.excluded)
+            excluded |= certificate.excluded
             if not certificate.member:
                 return CompletenessResult(
                     complete=False,
@@ -203,7 +203,7 @@ class ClosureResult:
     added: list[ClosureStep]
     defect: int
     completed: PdeSystem
-    excluded: list[Expr] = field(default_factory=list)
+    excluded: frozenset[Expr] = frozenset()
     capped: bool = False
 
 
@@ -226,12 +226,12 @@ def bracket_closure(
     cap = max(cap, pde.m)
     family = PdeSystem(scope, pde.operators, names=pde.names)
     added: list[ClosureStep] = []
-    excluded: list[Expr] = []
+    excluded: frozenset[Expr] = frozenset()
     resolved: set[tuple[int, int]] = set()
     capped = False
     scan = pde.bracket_scan
     while True:
-        merge_locus(excluded, scan.excluded)
+        excluded |= scan.excluded
         if scan.complete:
             break
         i, j = scan.witness_pair
@@ -261,25 +261,25 @@ def bracket_closure(
     )
 
 
-def operator_family(system: System) -> tuple[PdeSystem | None, list[Expr]]:
+def operator_family(system: System) -> tuple[PdeSystem | None, frozenset[Expr]]:
     """The PDE family whose common solutions are the system's first integrals.
 
     A PDE system is its own family, a total differential system gives its
     operators of differentiation (``TdSystem.family``), and a Pfaff system
     with m < n the operators dual to a frame completion (its cached
     ``PfaffSystem.contragredient``).  The family's excluded locus comes
-    alongside, as a new list the caller may merge into.  A square Pfaff
-    system has no family: its coordinates are integrals.
+    alongside: empty unless the family divides by the frame's pivots.  A
+    square Pfaff system has no family: its coordinates are integrals.
     """
     if system.kind == "pde":
-        return system.pde, []
+        return system.pde, frozenset()
     if system.kind == "td":
-        return system.td.family, []
+        return system.td.family, frozenset()
     pf = system.pfaff
     if pf.m == pf.n:
-        return None, []
+        return None, frozenset()
     contragredient = pf.contragredient
-    return contragredient.pde, list(contragredient.excluded)
+    return contragredient.pde, contragredient.excluded
 
 
 def dimension_from_defect(system: System, defect: int) -> tuple[int, str]:
@@ -322,7 +322,7 @@ class IntegralCertificate:
     span: SpanCertificate | None = None
     witness_point: Point | None = None
     witness_value: str | None = None
-    excluded: list[Expr] = field(default_factory=list)
+    excluded: frozenset[Expr] = frozenset()
 
     def to_dict(self) -> dict:
         """The JSON entry under ``integrals``, for ``analyze`` and ``verify``."""
@@ -374,19 +374,12 @@ def verify_first_integral(
     pf = system.pfaff
     target = differential(integral).coefficient_row()
     certificate = pf.span_solver.query(target)
-    if certificate.member:
-        return IntegralCertificate(
-            integral,
-            True,
-            multipliers=certificate.coefficients,
-            span=certificate,
-            excluded=list(certificate.excluded),
-        )
     return IntegralCertificate(
         integral,
-        False,
+        certificate.member,
+        multipliers=certificate.coefficients,  # None off the span
         span=certificate,
-        excluded=list(certificate.excluded),
+        excluded=certificate.excluded,
     )
 
 
@@ -395,7 +388,7 @@ def _nonzero_witness(
 ) -> tuple[Point | None, str | None]:
     """A sample point where some residual provably does not vanish."""
     nonzero = [r for r in residuals if not r.is_zero()]
-    avoid = merge_locus([], (r.denominator() for r in nonzero))
+    avoid = {r.denominator() for r in nonzero}  # a constant never vanishes
     for attempt in range(8):
         for point in sample_points(scope, 4, seed=seed * 997 + attempt, avoid=avoid):
             for r in nonzero:
@@ -430,7 +423,7 @@ class ClosureCheck:
     closed: bool
     wedge_witness: tuple[int, KForm] | None = None
     completeness: CompletenessResult | None = None
-    excluded: list[Expr] = field(default_factory=list)
+    excluded: frozenset[Expr] = frozenset()
 
 
 def pfaff_closure_check(pf: PfaffSystem, method: str = "both") -> ClosureCheck:
@@ -459,14 +452,13 @@ def pfaff_closure_check(pf: PfaffSystem, method: str = "both") -> ClosureCheck:
                 break
     contra_verdict = None
     completeness = None
-    excluded: list[Expr] = []
+    excluded: frozenset[Expr] = frozenset()
     if method in ("contragredient", "both"):
         if pf.m == pf.n:
             contra_verdict = True  # square case: coordinate integrals exist
         else:
-            merge_locus(excluded, pf.contragredient.excluded)
             completeness = pde_completeness(pf.contragredient.pde)
-            merge_locus(excluded, completeness.excluded)
+            excluded = pf.contragredient.excluded | completeness.excluded
             contra_verdict = completeness.complete
     if method == "both" and wedge_verdict != contra_verdict:
         raise MethodDisagreement(
@@ -495,7 +487,7 @@ class AnalysisReport:
     dimension: int
     dimension_note: str
     added_generators: list[ClosureStep]
-    excluded_locus: list[Expr]
+    excluded_locus: frozenset[Expr]
     integrals: list[IntegralCertificate]
     seed: int
     warnings: list[str] = field(default_factory=list)
@@ -511,7 +503,7 @@ def analyze(
 ) -> AnalysisReport:
     """Run the kind-appropriate battery and aggregate certified results."""
     family, excluded = operator_family(system)
-    merge_locus(excluded, system.excluded_locus)
+    excluded |= system.excluded_locus
     warnings = list(system.warnings)
     witness = None
     jacobian: bool | None = None
@@ -528,7 +520,6 @@ def analyze(
         check = pde_completeness(system.pde)
         verdict_name, verdict = "complete", check.complete
         jacobian = check.jacobian
-        merge_locus(excluded, check.excluded)
         if check.witness_bracket is not None:
             witness = check.witness_bracket.print()
     else:
@@ -536,7 +527,6 @@ def analyze(
         rank_ok = pf.validate_rank()
         check = pfaff_closure_check(pf, method=method)
         verdict_name, verdict = "closed", check.closed
-        merge_locus(excluded, check.excluded)
         if check.wedge_witness is not None:
             j, obstruction = check.wedge_witness
             witness = f"d({pf.names[j]}) wedge forms = {obstruction.print()}"
@@ -546,7 +536,7 @@ def analyze(
     defect, added, capped = 0, [], False
     if family is not None:
         closure = bracket_closure(family, max_generators=max_generators)
-        merge_locus(excluded, closure.excluded)
+        excluded |= closure.excluded
         defect, added, capped = closure.defect, closure.added, closure.capped
     dimension, note = dimension_from_defect(system, defect)
     if capped:
@@ -558,7 +548,7 @@ def analyze(
     certificates = []
     for integral in integrals:
         certificate = verify_first_integral(system, integral, seed=seed)
-        merge_locus(excluded, certificate.excluded)
+        excluded |= certificate.excluded
         certificates.append(certificate)
 
     return AnalysisReport(
@@ -593,7 +583,7 @@ def report_to_dict(report: AnalysisReport) -> dict:
         "dimension_note": report.dimension_note,
         "witness": report.witness,
         "added_generators": [step.to_dict() for step in report.added_generators],
-        "excluded_locus": sorted(e.print() for e in report.excluded_locus),
+        "excluded_locus": locus_texts(report.excluded_locus),
         "integrals": [certificate.to_dict() for certificate in report.integrals],
         "seed": report.seed,
         "warnings": report.warnings,

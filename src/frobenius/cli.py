@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .dsl import parse_system, serialize, system_to_dict
 from .expr import Expr, ExprError, ParseError
-from .linalg import merge_locus
+from .linalg import locus_texts
 from .systems import (
     System,
     SystemError,
@@ -97,7 +97,7 @@ def _human_report(report) -> str:
                 f"  {step.name} = {step.describe()} -> {step.operator.print()}"
             )
     if report.excluded_locus:
-        loci = ", ".join(sorted(e.print() for e in report.excluded_locus))
+        loci = ", ".join(locus_texts(report.excluded_locus))
         lines.append(f"excluded locus: {loci}")
     for certificate in report.integrals:
         status = "valid" if certificate.valid else "INVALID"
@@ -157,7 +157,7 @@ def _convert(system: System, target: str, pivots: list[str] | None):
             )
         return System(kind="pde", pde=pde), excluded
     if kind == "td" and target == "pfaff":
-        return System(kind="pfaff", pfaff=td_to_pfaff(system.td)), []
+        return System(kind="pfaff", pfaff=td_to_pfaff(system.td)), frozenset()
     if kind == "td" and target == "td":
         reduced, excluded = td_defect_reduction(system.td)
         return System(kind="td", td=reduced), excluded
@@ -184,7 +184,7 @@ def _cmd_convert(args) -> int:
         converted, excluded = _convert(system, args.to, pivots)
     except (SystemError, ExprError) as error:
         raise CliError(str(error)) from error
-    converted.excluded_locus = merge_locus([], excluded)
+    converted.excluded_locus = excluded
     converted.name = system.name
     converted.source = system.source
     if args.json:
@@ -198,20 +198,20 @@ def _cmd_complete(args) -> int:
     system = _load_system(args.input)
     pde, family_excluded = operator_family(system)
     if pde is None:  # a square Pfaff system is complete as it stands
-        added, excluded, capped = [], [], False
+        added, excluded, capped = [], frozenset(), False
         completed = System(kind=system.kind, pfaff=system.pfaff, name=system.name)
     else:
         closure = bracket_closure(pde, max_generators=args.max_generators)
         added, capped = closure.added, closure.capped
         # the completed operators divide by the contragredient's frame pivots
-        excluded = merge_locus(list(family_excluded), closure.excluded)
+        excluded = family_excluded | closure.excluded
         completed = System(kind="pde", pde=closure.completed, name=system.name)
     payload = {
         "kind": system.kind,
         "defect": len(added),
         "capped": capped,
         "added_generators": [step.to_dict() for step in added],
-        "excluded_locus": sorted(e.print() for e in excluded),
+        "excluded_locus": locus_texts(excluded),
         "system": system_to_dict(completed),
     }
     human_lines = [f"defect: {len(added)}"]

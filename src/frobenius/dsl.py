@@ -27,6 +27,7 @@ from typing import Sequence
 
 from .expr import Expr, ExprError, ParseError, Scope
 from .exterior import KForm, VectorField
+from .linalg import locus_texts
 from .systems import PdeSystem, PfaffSystem, System, SystemError, TdSystem
 
 __all__ = ["parse_system", "serialize", "DslError"]
@@ -114,6 +115,8 @@ def _parse_weighted_sum(
 ) -> dict[str, Expr]:
     """Parse ``coeff*@v`` / ``coeff*d(v)`` sums into name -> coefficient."""
     collected: dict[str, Expr] = {}
+    if not text.strip():
+        raise DslError("empty row (write 0 for a zero row)", line)
     if text.strip() == "0":
         return collected
     if text.rstrip().endswith(("+", "-")):
@@ -167,7 +170,7 @@ def parse_system(text: str, name: str = "", source: str = "") -> System:
     dep: list[str] | None = None
     variables: list[str] | None = None
     pivots: list[str] | None = None
-    eq_rows: dict[str, list[str]] = {}
+    eq_rows: dict[str, tuple[list[str], int]] = {}
     op_rows: list[tuple[str, str, int]] = []
     form_rows: list[tuple[str, str, int]] = []
     completion_rows: list[tuple[str, str, int]] = []
@@ -202,7 +205,7 @@ def parse_system(text: str, name: str = "", source: str = "") -> System:
             target = head[3:].strip()
             if target in eq_rows:
                 raise DslError(f"duplicate equation for {target!r}", line_no)
-            eq_rows[target] = [p.strip() for p in value.split("|")]
+            eq_rows[target] = ([p.strip() for p in value.split("|")], line_no)
         elif head.startswith("op "):
             op_rows.append((head[3:].strip(), value, line_no))
         elif head.startswith("form "):
@@ -223,13 +226,15 @@ def parse_system(text: str, name: str = "", source: str = "") -> System:
         line_no, directive = misplaced[0]
         raise DslError(f"a {kind} system takes no '{directive}' line", line_no)
     if kind == "td":
-        return _build_td(indep, dep, eq_rows, name, source)
+        return _build_td(indep, dep, eq_rows, first_line, name, source)
     if kind == "pde":
-        return _build_pde(variables, op_rows, pivots, name, source)
+        return _build_pde(variables, op_rows, pivots, first_line, name, source)
     return _build_pfaff(variables, form_rows, completion_rows, name, source)
 
 
-def _build_td(indep, dep, eq_rows, name, source) -> System:
+def _build_td(indep, dep, eq_rows, first_line, name, source) -> System:
+    """A td system; an equation's errors carry its line, a missing
+    equation's the ``dep:`` line."""
     if indep is None or dep is None:
         raise DslError("td systems need 'indep:' and 'dep:' lines", 1)
     if set(indep) & set(dep):
@@ -237,30 +242,28 @@ def _build_td(indep, dep, eq_rows, name, source) -> System:
     scope = Scope(tuple(indep) + tuple(dep))
     missing = set(dep) - set(eq_rows)
     if missing:
-        raise DslError(f"missing equations for {sorted(missing)}", 1)
-    extra = set(eq_rows) - set(dep)
-    if extra:
-        raise DslError(f"equations for undeclared dependents {sorted(extra)}", 1)
-    rows = []
-    for x_name in dep:
-        texts = eq_rows[x_name]
+        raise DslError(f"missing equations for {sorted(missing)}", first_line["dep"])
+    rows = {}
+    for x_name, (texts, line_no) in eq_rows.items():
+        if x_name not in dep:
+            raise DslError(f"equation for undeclared dependent {x_name!r}", line_no)
         if len(texts) != len(indep):
             raise DslError(
                 f"equation for {x_name!r} needs {len(indep)} entries, "
                 f"got {len(texts)}",
-                1,
+                line_no,
             )
         try:
-            rows.append(tuple(scope.parse(t) for t in texts))
+            rows[x_name] = tuple(scope.parse(t) for t in texts)
         except ParseError as error:
-            raise DslError(f"in equation for {x_name!r}: {error}", 1) from None
-    td = TdSystem(tuple(indep), tuple(dep), tuple(rows))
+            raise DslError(f"in equation for {x_name!r}: {error}", line_no) from None
+    td = TdSystem(tuple(indep), tuple(dep), tuple(rows[x] for x in dep))
     return System(
         kind="td", td=td, name=name, source=source, warnings=td.warnings()
     )
 
 
-def _build_pde(variables, op_rows, pivots, name, source) -> System:
+def _build_pde(variables, op_rows, pivots, first_line, name, source) -> System:
     if variables is None:
         raise DslError("pde systems need a 'vars:' line", 1)
     if not op_rows:
@@ -274,12 +277,15 @@ def _build_pde(variables, op_rows, pivots, name, source) -> System:
         names.append(op_name)
         coeffs = _parse_weighted_sum(value, scope, _FIELD_MARKER, line_no)
         operators.append(VectorField(scope, coeffs))
-    pde = PdeSystem(
-        scope,
-        tuple(operators),
-        names=tuple(names),
-        normal_pivots=tuple(pivots) if pivots else None,
-    )
+    try:
+        pde = PdeSystem(
+            scope,
+            tuple(operators),
+            names=tuple(names),
+            normal_pivots=tuple(pivots) if pivots else None,
+        )
+    except (SystemError, ExprError) as error:  # the pivots' normal-form check
+        raise DslError(str(error), first_line["pivots"]) from None
     if not pde.validate_rank():
         raise SystemError("operators are linearly bound (rank deficient)")
     return System(kind="pde", pde=pde, name=name, source=source)
@@ -368,7 +374,7 @@ def system_to_dict(system: System) -> dict:
             out["completion"] = [form.print() for form in pfaff.completion]
     out["metadata"] = {
         "source": system.source,
-        "excluded_locus": sorted(e.print() for e in system.excluded_locus),
+        "excluded_locus": locus_texts(system.excluded_locus),
         "warnings": list(system.warnings),
     }
     return out

@@ -14,13 +14,15 @@ gcd.  The exterior layer's coefficients are values that must stay small,
 and sum over the lcm instead (``Expr._sum_over_lcm``).  The pivot rule is
 deterministic: smallest printed form, ties broken by lowest row then column.
 Every pivot contributes its numerator and denominator factors to an excluded
-locus so callers can report where the generic answer degenerates.
+locus so callers can report where the generic answer degenerates.  A locus is
+a ``frozenset`` of those factors: loci merge by union, and ``locus_texts``
+prints one as its entries' texts, sorted.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -40,7 +42,7 @@ __all__ = [
     "solve",
     "in_span",
     "determinant",
-    "merge_locus",
+    "locus_texts",
     "sample_points",
     "nonzero_value",
 ]
@@ -129,7 +131,7 @@ class Echelon:
     work: list[list[Expr]]
     pivots: list[tuple[int, int]]  # (work row, column) in elimination order
     values: list[Expr]  # each pivot's entry when it was chosen, in that order
-    excluded: list[Expr]
+    excluded: frozenset[Expr]
 
     @property
     def rank(self) -> int:
@@ -152,17 +154,15 @@ class Echelon:
         return value if row_sign == col_sign else -value
 
 
-def merge_locus(into: list[Expr], extra: Iterable[Expr]) -> list[Expr]:
-    """Append each nonconstant expression of extra that into lacks."""
-    for expr in extra:
-        if not expr.is_constant() and expr not in into:
-            into.append(expr)
-    return into
+def locus_texts(locus: Iterable[Expr]) -> list[str]:
+    """A locus as printed: its entries' texts, sorted."""
+    return sorted(e.print() for e in locus)
 
 
-def _locus_factors(entry: Expr, into: list[Expr]) -> None:
-    """Append the nonconstant irreducible factors of num and den of entry."""
+def _locus_factors(entry: Expr) -> frozenset[Expr]:
+    """The nonconstant irreducible factors of num and den of entry."""
     scope = entry.scope
+    factors = set()
     for part in (entry._p, entry._q):
         if part.is_ground:
             continue
@@ -170,7 +170,8 @@ def _locus_factors(entry: Expr, into: list[Expr]) -> None:
             expr = Expr._from_polys(scope, factor, factor.ring.one)
             if expr.has_kernels() and expr._p.is_generator:
                 continue  # bare exponential kernels never vanish
-            merge_locus(into, [expr if expr.leading_sign() > 0 else -expr])
+            factors.add(expr if expr.leading_sign() > 0 else -expr)
+    return frozenset(factors)
 
 
 def _eliminate(
@@ -189,7 +190,7 @@ def _eliminate(
     free_cols = set(range(matrix.cols) if eligible is None else eligible)
     pivots: list[tuple[int, int]] = []
     values: list[Expr] = []
-    excluded: list[Expr] = []
+    excluded: frozenset[Expr] = frozenset()
     while free_rows and free_cols:
         forced = prefer_cols is not None and len(pivots) < len(prefer_cols)
         allowed = {prefer_cols[len(pivots)]} if forced else free_cols
@@ -209,7 +210,7 @@ def _eliminate(
             break
         _, r, c = min(candidates)
         pivot = work[r][c]
-        _locus_factors(pivot, excluded)
+        excluded |= _locus_factors(pivot)
         inv = pivot.scope.one / pivot
         work[r] = [inv * e for e in work[r]]
         free_rows.discard(r)
@@ -263,7 +264,7 @@ def determinant(matrix: ExprMatrix) -> Expr:
     return result.minor()
 
 
-def invert(matrix: ExprMatrix) -> tuple[ExprMatrix, list[Expr]]:
+def invert(matrix: ExprMatrix) -> tuple[ExprMatrix, frozenset[Expr]]:
     """Inverse over the function field plus the excluded locus of the pivots."""
     if matrix.rows != matrix.cols:
         raise LinalgError("inverse requires a square matrix")
@@ -287,7 +288,7 @@ def solve(
     matrix: ExprMatrix,
     rhs: Sequence[Expr],
     pivot_cols: Sequence[int] | None = None,
-) -> tuple[list[Expr], list[Expr]]:
+) -> tuple[list[Expr], frozenset[Expr]]:
     """Solve matrix * x = rhs; returns (solution, excluded locus).
 
     Rectangular systems must be consistent; free columns are only allowed
@@ -327,7 +328,7 @@ class SpanCertificate:
     witness_rows: list[int] | None = None
     witness_cols: list[int] | None = None
     witness_minor: Expr | None = None
-    excluded: list[Expr] = field(default_factory=list)
+    excluded: frozenset[Expr] = frozenset()
 
     @property
     def verdict(self) -> str:
@@ -359,7 +360,7 @@ class SpanSolver:
         )
         result = echelon(augmented, eligible=range(n))
         self.elimination = result
-        self.excluded = list(result.excluded)
+        self.excluded = result.excluded
         self.pivots = sorted(result.pivots, key=lambda rc: rc[1])
         self.rank = len(self.pivots)
         self.rows = [
@@ -402,7 +403,7 @@ class SpanSolver:
             return SpanCertificate(
                 member=True,
                 coefficients=coefficients,
-                excluded=list(self.excluded),
+                excluded=self.excluded,
             )
         rows = sorted(r for _, _, r, _ in self.rows) + [m]
         pivot_cols = [c for _, _, _, c in self.rows]
@@ -420,7 +421,7 @@ class SpanSolver:
             witness_rows=rows,
             witness_cols=cols,
             witness_minor=minor,
-            excluded=list(self.excluded),
+            excluded=self.excluded,
         )
 
 

@@ -26,7 +26,6 @@ from .linalg import (
     SpanSolver,
     echelon,
     invert,
-    merge_locus,
 )
 
 if TYPE_CHECKING:
@@ -258,7 +257,7 @@ class System:
     pfaff: PfaffSystem | None = None
     name: str = ""
     source: str = ""
-    excluded_locus: list[Expr] = field(default_factory=list)
+    excluded_locus: frozenset[Expr] = frozenset()
     warnings: list[str] = field(default_factory=list)
 
     def __post_init__(self):
@@ -294,7 +293,7 @@ def td_to_pde(td: TdSystem) -> PdeSystem:
 
 def pde_normalize(
     pde: PdeSystem, pivots: Sequence[str] | None = None
-) -> tuple[PdeSystem, list[Expr]]:
+) -> tuple[PdeSystem, frozenset[Expr]]:
     """Solve the operators for a nonsingular pivot set (normal form).
 
     Returns the normalized system (operators reordered by pivot variable)
@@ -306,7 +305,7 @@ def pde_normalize(
     eliminated, and no solver is built.
     """
     if pde.normal_pivots is not None and pivots is None:
-        return pde, []
+        return pde, frozenset()
     if pde.m > pde.n:
         raise SystemError("cannot normalize: more operators than variables")
     scope = pde.scope
@@ -346,7 +345,7 @@ def pde_normalize(
         names=tuple(f"n{k + 1}" for k in range(len(operators))),
         normal_pivots=tuple(pivot_names),
     )
-    return normalized, list(result.excluded)
+    return normalized, result.excluded
 
 
 def normal_pde_to_td(pde: PdeSystem) -> TdSystem:
@@ -383,7 +382,7 @@ def td_to_pfaff(td: TdSystem) -> PfaffSystem:
 
 def pfaff_to_td(
     pf: PfaffSystem, pivot_cols: Sequence[str] | None = None
-) -> tuple[TdSystem, list[Expr]]:
+) -> tuple[TdSystem, frozenset[Expr]]:
     """Solve the forms for m differentials, yielding dx_pivot = X d(rest).
 
     Eliminating the form matrix with pivots in the pivot columns only leaves
@@ -423,7 +422,7 @@ def pfaff_to_td(
         for c in columns
     )
     td = TdSystem(tuple(rest_names), tuple(pivot_names), rows)
-    return td, list(result.excluded)
+    return td, result.excluded
 
 
 @dataclass
@@ -433,7 +432,7 @@ class Contragredient:
     extended_forms: tuple[KForm, ...]
     operators: tuple[VectorField, ...]
     pde: PdeSystem
-    excluded: list[Expr]
+    excluded: frozenset[Expr]
 
 
 def pfaff_contragredient(pf: PfaffSystem) -> Contragredient:
@@ -480,12 +479,12 @@ def pfaff_contragredient(pf: PfaffSystem) -> Contragredient:
         tuple(operators[pf.m :]),
         names=tuple(f"g{i + 1}" for i in range(pf.m, pf.n)),
     )
-    return Contragredient(extended, tuple(operators), pde, list(excluded))
+    return Contragredient(extended, tuple(operators), pde, excluded)
 
 
 def pfaff_reduce_by_integrals(
     pf: PfaffSystem, integrals: Sequence[Expr]
-) -> tuple[PfaffSystem, list[Expr]]:
+) -> tuple[PfaffSystem, frozenset[Expr]]:
     """Replace k forms by the differentials of verified first integrals.
 
     Each integral must expand as dF = sum(b_j * w_j); the certificates build
@@ -494,8 +493,7 @@ def pfaff_reduce_by_integrals(
     """
     scope = pf.scope
     if not integrals:
-        return pf, []
-    excluded: list[Expr] = []
+        return pf, frozenset()
     expansion_rows: list[list[Expr]] = []
     for integral in integrals:
         target = [
@@ -506,13 +504,11 @@ def pfaff_reduce_by_integrals(
             raise SystemError(
                 f"{integral} is not a first integral of the Pfaff system"
             )
-        merge_locus(excluded, certificate.excluded)
         expansion_rows.append(certificate.coefficients)
     multiplier = ExprMatrix.from_rows(expansion_rows)
     result = echelon(multiplier)
     if result.rank < len(integrals):
         raise SystemError("integrals are functionally dependent on the forms")
-    merge_locus(excluded, result.excluded)
     consumed = set(result.pivot_cols())
     new_forms = [differential(scope.lift(F)) for F in integrals]
     new_names = [f"df{k + 1}" for k in range(len(integrals))]
@@ -523,10 +519,11 @@ def pfaff_reduce_by_integrals(
     reduced = PfaffSystem(scope, tuple(new_forms), names=tuple(new_names))
     if not reduced.validate_rank():
         raise SystemError("reduced system lost rank")
-    return reduced, excluded
+    # every span certificate carries the solver's locus
+    return reduced, pf.span_solver.excluded | result.excluded
 
 
-def td_defect_reduction(td: TdSystem) -> tuple[TdSystem, list[Expr]]:
+def td_defect_reduction(td: TdSystem) -> tuple[TdSystem, frozenset[Expr]]:
     """Rename defect-many dependents as independents to reach solvability.
 
     Runs bracket closure on the operators of differentiation, normalizes the
@@ -541,18 +538,16 @@ def td_defect_reduction(td: TdSystem) -> tuple[TdSystem, list[Expr]]:
 
     closure = bracket_closure(td.family)
     if closure.defect == 0:
-        return td, list(closure.excluded)
+        return td, closure.excluded
     if closure.defect >= td.n:
         raise SystemError(
             "defect equals the dependent count; no dependent variables remain"
         )
-    excluded = list(closure.excluded)
     normalized, norm_excluded = pde_normalize(
         closure.completed, pivots=list(td.indep)
     )
-    merge_locus(excluded, norm_excluded)
     reduced = normal_pde_to_td(normalized)
     check = frobenius_td(reduced)
     if not check.complete:
         raise SystemError("reduction failed the solvability self-check")
-    return reduced, excluded
+    return reduced, closure.excluded | norm_excluded

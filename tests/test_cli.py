@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, exit codes, and determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -393,3 +394,39 @@ class TestCheckFixtures:
         result = run_cli("check-fixtures", str(tmp_path))
         assert result.returncode == 2
         assert "sidecar" in result.stderr
+
+
+class TestHashSeed:
+    """Loci are sets, whose iteration order follows the interpreter's hash
+    seed; every output prints them sorted, so no output depends on it."""
+
+    INTEGRALS = json.loads((FIXTURES / "ex_4_8.expected.json").read_text())[
+        "integrals"
+    ]
+    RUNS = {
+        "check-fixtures-seed-7": [
+            "check-fixtures", "fixtures", "--json", "--seed", "7"
+        ],
+        "ex_4_8": [
+            "analyze",
+            "fixtures/ex_4_8.dsys",
+            "--json",
+            *(arg for i in INTEGRALS for arg in ("--integral", i["expr"])),
+        ],
+        "ex_4_8-to-td": ["convert", "fixtures/ex_4_8.dsys", "--to", "td", "--json"],
+    }
+
+    @pytest.mark.parametrize("golden", sorted(RUNS))
+    def test_output_is_the_golden_under_each_hash_seed(self, golden):
+        path = FIXTURES.parent / "tests" / "golden" / f"{golden}.json"
+        expected = path.read_text(encoding="utf-8")
+        for seed in ("0", "1"):
+            result = subprocess.run(
+                [sys.executable, "-m", "frobenius.cli", *self.RUNS[golden]],
+                capture_output=True,
+                text=True,
+                cwd=FIXTURES.parent,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert result.returncode == 0, result.stderr
+            assert result.stdout == expected, f"PYTHONHASHSEED={seed}"

@@ -138,6 +138,8 @@ class TestParsing:
             ("@x + @y -", "row ends in a dangling sign: '@x + @y -'"),
             ("+", "row ends in a dangling sign: '+'"),
             ("-", "row ends in a dangling sign: '-'"),
+            ("", "empty row"),
+            ("   ", "empty row"),
         ],
     )
     @pytest.mark.parametrize("row_kind", ["op", "form"])
@@ -146,6 +148,47 @@ class TestParsing:
             message = _as_form(message)
         with pytest.raises(DslError, match=re.escape(f"line 4: {message}")):
             parse_system(_two_row_system(row_kind, row))
+
+    def test_empty_completion_rejected_and_zero_accepted(self):
+        text = "kind: pfaff\nvars: x y z\nform w1: d(x)\ncompletion c1: {}\n"
+        with pytest.raises(DslError, match="line 4: empty row"):
+            parse_system(text.format(""))
+        completion = parse_system(text.format("0")).pfaff.completion
+        assert len(completion) == 1 and completion[0].is_zero()
+
+    @pytest.mark.parametrize(
+        "lines, line, message",
+        [
+            (["eq x: x | y"], 6,
+             "in equation for 'x': undeclared variable 'y'"),
+            (["eq x: x^*t | 1"], 6, "in equation for 'x': "),
+            (["eq x: x"], 6, "equation for 'x' needs 2 entries, got 1"),
+            (["eq x: 1 | 2", "eq y: 1 | 2"], 7,
+             "equation for undeclared dependent 'y'"),
+            (["eq x: 1 | 2", "", "eq y: 1 | 2 | 3"], 8,
+             "equation for undeclared dependent 'y'"),
+            (["# no equations"], 3, "missing equations for ['x']"),
+        ],
+    )
+    def test_equation_errors_at_their_line(self, lines, line, message):
+        """Row errors carry the eq row's line, a missing equation the dep:
+        line."""
+        text = "\n".join(["kind: td", "indep: t s", "dep: x", "", "# c", *lines])
+        with pytest.raises(DslError, match=re.escape(f"line {line}: {message}")):
+            parse_system(text + "\n")
+
+    @pytest.mark.parametrize(
+        "pivots, message",
+        [
+            ("q", "variable 'q' not declared"),
+            ("y", "operators are not in normal form"),
+            ("x y", "normal form needs one pivot per operator"),
+        ],
+    )
+    def test_pivot_errors_at_their_line(self, pivots, message):
+        text = f"kind: pde\nvars: x y\n\npivots: {pivots}\nop l1: @x + y*@y\n"
+        with pytest.raises(DslError, match=re.escape(f"line 4: {message}")):
+            parse_system(text)
 
     @pytest.mark.parametrize("kind", ["td", "pde", "pfaff"])
     def test_kind_must_name_the_present_body(self, kind):
@@ -253,7 +296,7 @@ class TestNormalization:
         pde = load_fixture("ex_2_31").pde
         normalized, excluded = pde_normalize(pde)
         assert normalized is pde
-        assert excluded == []
+        assert not excluded
 
     def test_normalize_then_normalize_is_stable(self):
         from frobenius.analysis import bracket_closure
@@ -412,7 +455,7 @@ class TestReduceByIntegrals:
         pf = load_fixture("ex_4_1").pfaff
         reduced, excluded = pfaff_reduce_by_integrals(pf, [])
         assert reduced is pf
-        assert excluded == []
+        assert not excluded
 
     def test_invalid_integral_rejected(self):
         pf = load_fixture("ex_4_1").pfaff
