@@ -13,15 +13,14 @@ from .analysis import (
     bracket_closure,
     frobenius_td,
     functional_independence,
-    integral_basis_dimension,
     pde_completeness,
     pfaff_closure_check,
     verify_first_integral,
 )
 from .dsl import parse_system, serialize
 from .expr import Expr, Point, Scope, parse_expr
-from .exterior import KForm, VectorField, differential, lie_bracket, wedge
-from .linalg import ExprMatrix, generic_rank, in_span, invert, sample_points, solve
+from .exterior import KForm, VectorField, differential
+from .linalg import ExprMatrix, generic_rank, invert, sample_points
 from .systems import (
     PdeSystem,
     PfaffSystem,
@@ -55,10 +54,7 @@ __all__ = [
     "frobenius_td",
     "functional_independence",
     "generic_rank",
-    "in_span",
-    "integral_basis_dimension",
     "invert",
-    "lie_bracket",
     "normal_pde_to_td",
     "parse_expr",
     "parse_system",
@@ -70,12 +66,10 @@ __all__ = [
     "pfaff_to_td",
     "sample_points",
     "serialize",
-    "solve",
     "td_defect_reduction",
     "td_to_pde",
     "td_to_pfaff",
     "verify_first_integral",
-    "wedge",
 ]
 
 __version__ = "0.1.0"

@@ -56,7 +56,6 @@ __all__ = [
     "bracket_closure",
     "operator_family",
     "dimension_from_defect",
-    "integral_basis_dimension",
     "verify_first_integral",
     "functional_independence",
     "pfaff_closure_check",
@@ -298,17 +297,6 @@ def dimension_from_defect(system: System, defect: int) -> tuple[int, str]:
     if pf.m == pf.n:
         return pf.n, "square nonsingular system: coordinate integrals"
     return pf.m - defect, f"{pf.m} forms - dual-system defect {defect}"
-
-
-def integral_basis_dimension(system: System) -> tuple[int, str]:
-    """Dimension of the basis of first integrals, with a derivation note.
-
-    Runs its own bracket closure of the system's operator family; only the
-    family's cached first scan is shared with ``analyze``.
-    """
-    family, _ = operator_family(system)
-    defect = bracket_closure(family).defect if family is not None else 0
-    return dimension_from_defect(system, defect)
 
 
 @dataclass

@@ -233,12 +233,15 @@ def parse_system(text: str, name: str = "", source: str = "") -> System:
 
 
 def _build_td(indep, dep, eq_rows, first_line, name, source) -> System:
-    """A td system; an equation's errors carry its line, a missing
-    equation's the ``dep:`` line."""
+    """A td system; an equation's errors carry its line, and a missing
+    equation or an overlap of the variables is reported at the ``dep:``
+    line."""
     if indep is None or dep is None:
         raise DslError("td systems need 'indep:' and 'dep:' lines", 1)
     if set(indep) & set(dep):
-        raise DslError("independent and dependent variables overlap", 1)
+        raise DslError(
+            "independent and dependent variables overlap", first_line["dep"]
+        )
     scope = Scope(tuple(indep) + tuple(dep))
     missing = set(dep) - set(eq_rows)
     if missing:
@@ -286,8 +289,7 @@ def _build_pde(variables, op_rows, pivots, first_line, name, source) -> System:
         )
     except (SystemError, ExprError) as error:  # the pivots' normal-form check
         raise DslError(str(error), first_line["pivots"]) from None
-    if not pde.validate_rank():
-        raise SystemError("operators are linearly bound (rank deficient)")
+    _reject_bound_row(pde, op_rows)
     return System(kind="pde", pde=pde, name=name, source=source)
 
 
@@ -315,9 +317,19 @@ def _build_pfaff(variables, form_rows, completion_rows, name, source) -> System:
         names=tuple(names),
         completion=tuple(completion) if completion else None,
     )
-    if not pfaff.validate_rank():
-        raise SystemError("forms are linearly bound (rank deficient)")
+    _reject_bound_row(pfaff, form_rows)
     return System(kind="pfaff", pfaff=pfaff, name=name, source=source)
+
+
+def _reject_bound_row(body: PdeSystem | PfaffSystem, rows) -> None:
+    """A DslError at the first row that the cached span solver left without
+    a pivot: that row is a combination of the pivoted ones."""
+    pivoted = {r for r, _ in body.span_solver.pivots}
+    for i, (_, _, line_no) in enumerate(rows):
+        if i not in pivoted:
+            raise DslError(
+                "row is linearly bound to the other rows (rank deficient)", line_no
+            )
 
 
 def serialize(system: System) -> str:

@@ -534,9 +534,6 @@ class Expr:
     def is_one(self) -> bool:
         return self._p.is_one and self._q.is_one
 
-    def is_constant(self) -> bool:
-        return self._p.is_ground and self._q.is_ground
-
     def leading_sign(self) -> int:
         """Sign of the numerator's grlex-leading coefficient (kernels last).
 

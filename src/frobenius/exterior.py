@@ -22,9 +22,6 @@ from .expr import Expr, ExprError, Scope
 __all__ = [
     "VectorField",
     "KForm",
-    "zero_form",
-    "lie_bracket",
-    "wedge",
     "differential",
 ]
 
@@ -376,18 +373,6 @@ class KForm:
 
     def __repr__(self) -> str:
         return f"KForm({self})"
-
-
-def zero_form(scope: Scope, degree: int) -> KForm:
-    return KForm(scope, degree, {})
-
-
-def lie_bracket(a: VectorField, b: VectorField) -> VectorField:
-    return a.bracket(b)
-
-
-def wedge(a: KForm, b: KForm) -> KForm:
-    return a.wedge(b)
 
 
 def differential(function: Expr) -> KForm:

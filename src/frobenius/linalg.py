@@ -1,18 +1,18 @@
 """Linear algebra over the field of symbolic expressions.
 
-Generic rank, determinants, inversion, solving, and span membership with
-validated certificates.  One pivot loop eliminates over the field to reduced
-rows (``echelon``), pivoting in a given set of eligible columns; rank,
+Generic rank, determinants, inversion, and span membership with validated
+certificates.  One pivot loop eliminates over the field to reduced rows
+(``echelon``), pivoting in a given set of eligible columns; rank,
 determinant and witness minors are read off its pivots: a minor on the pivot
 rows and columns is the signed product of the pivot values.  Each elimination
 step returns canonical forms (the expression layer cancels
 numerator/denominator gcds).  Sums of products (matrix products, span
-coefficients) and the self-checks of certificates, inverses and solutions
-cancel once per returned value, through ``Expr._sum_of_products``: the
-groups are cross-multiplied, so a self-check's sum, which is zero, needs no
-gcd.  The exterior layer's coefficients are values that must stay small,
-and sum over the lcm instead (``Expr._sum_over_lcm``).  The pivot rule is
-deterministic: smallest printed form, ties broken by lowest row then column.
+coefficients) and the self-checks of certificates and inverses cancel once
+per returned value, through ``Expr._sum_of_products``: the groups are
+cross-multiplied, so a self-check's sum, which is zero, needs no gcd.  The
+exterior layer's coefficients are values that must stay small, and sum over
+the lcm instead (``Expr._sum_over_lcm``).  The pivot rule is deterministic:
+smallest printed form, ties broken by lowest row then column.
 Every pivot contributes its numerator and denominator factors to an excluded
 locus so callers can report where the generic answer degenerates.  A locus is
 a ``frozenset`` of those factors: loci merge by union, and ``locus_texts``
@@ -39,8 +39,6 @@ __all__ = [
     "LinalgError",
     "generic_rank",
     "invert",
-    "solve",
-    "in_span",
     "determinant",
     "locus_texts",
     "sample_points",
@@ -49,7 +47,7 @@ __all__ = [
 
 
 class LinalgError(ValueError):
-    """Singular, inconsistent, or underdetermined system."""
+    """Singular or mismatched input, or a failed self-check."""
 
 
 class ExprMatrix:
@@ -284,41 +282,6 @@ def invert(matrix: ExprMatrix) -> tuple[ExprMatrix, frozenset[Expr]]:
     return inverse, solver.excluded
 
 
-def solve(
-    matrix: ExprMatrix,
-    rhs: Sequence[Expr],
-    pivot_cols: Sequence[int] | None = None,
-) -> tuple[list[Expr], frozenset[Expr]]:
-    """Solve matrix * x = rhs; returns (solution, excluded locus).
-
-    Rectangular systems must be consistent; free columns are only allowed
-    when a designated pivot set is supplied (they are set to zero).
-    """
-    if len(rhs) != matrix.rows:
-        raise LinalgError("right-hand side length mismatch")
-    scope = matrix.scope
-    augmented = ExprMatrix.from_rows(
-        [matrix.row(i) + [rhs[i]] for i in range(matrix.rows)]
-    )
-    result = echelon(
-        augmented, prefer_cols=pivot_cols, eligible=range(matrix.cols)
-    )
-    pivot_rows = {r for r, _ in result.pivots}
-    for r in range(matrix.rows):
-        if r not in pivot_rows and not result.work[r][matrix.cols].is_zero():
-            raise LinalgError("inconsistent linear system")
-    if result.rank < matrix.cols and pivot_cols is None:
-        raise LinalgError("underdetermined system without a designated pivot set")
-    solution = [scope.zero] * matrix.cols
-    for r, c in result.pivots:
-        solution[c] = result.work[r][matrix.cols]
-    for i in range(matrix.rows):
-        pairs = list(zip(matrix.row(i), solution)) + [(scope.one, -rhs[i])]
-        if not Expr._sum_of_products(scope, pairs).is_zero():
-            raise LinalgError("solution failed self-check")
-    return solution, result.excluded
-
-
 @dataclass
 class SpanCertificate:
     """Validated answer to a row-span membership query."""
@@ -425,29 +388,18 @@ class SpanSolver:
         )
 
 
-def in_span(target: Sequence[Expr], generators: ExprMatrix) -> SpanCertificate:
-    """Decide whether target lies in the row span of generators.
-
-    Member certificates carry combination coefficients over the function
-    field; NotMember certificates carry a row/column minor of the stacked
-    matrix that is a nonzero expression.  Both are validated before return.
-    """
-    return SpanSolver(generators).query(target)
-
-
 def sample_points(
     scope: Scope,
     count: int,
     seed: int = 0,
     avoid: Iterable[Expr] = (),
-    max_tries: int | None = None,
 ) -> list[Point]:
     """Deterministic-by-seed rational points avoiding given zero loci."""
     avoid = list(avoid)
     rng = random.Random(seed)
     points: list[Point] = []
     tries = 0
-    limit = max_tries if max_tries is not None else 400 * max(count, 1)
+    limit = 400 * max(count, 1)
     while len(points) < count:
         if tries >= limit:
             raise LinalgError(

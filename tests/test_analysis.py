@@ -7,7 +7,6 @@ from frobenius.analysis import (
     bracket_closure,
     frobenius_td,
     functional_independence,
-    integral_basis_dimension,
     operator_family,
     pde_completeness,
     pfaff_closure_check,
@@ -169,8 +168,7 @@ class TestDimension:
         ],
     )
     def test_dimension_matches_expectations(self, name, expected):
-        dimension, _ = integral_basis_dimension(load_fixture(name))
-        assert dimension == expected
+        assert analyze(load_fixture(name)).dimension == expected
 
     def test_square_pde_has_constants_only(self):
         from frobenius.dsl import parse_system
@@ -178,8 +176,8 @@ class TestDimension:
         system = parse_system(
             "kind: pde\nvars: x1 x2\nop l1: @x1\nop l2: x1*@x1 + @x2\n"
         )
-        dimension, note = integral_basis_dimension(system)
-        assert dimension == 0 and "constants" in note
+        report = analyze(system)
+        assert report.dimension == 0 and "constants" in report.dimension_note
 
 
 class TestVerification:
@@ -529,7 +527,7 @@ class TestDimensionBounds:
             for integral in integrals:
                 assert verify_first_integral(system, integral).valid
             rank, _ = functional_independence(integrals, system.scope)
-            dimension, _ = integral_basis_dimension(system)
+            dimension = analyze(system).dimension
             assert rank <= dimension
             assert dimension >= 0
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from frobenius.expr import Scope
-from frobenius.exterior import KForm, VectorField, differential, wedge, zero_form
+from frobenius.exterior import KForm, VectorField, differential
 
 from conftest import random_polynomial
 

@@ -100,6 +100,8 @@ class TestParsing:
              "repeated 'vars:' line"),
             (["kind: td", "indep: t1", "kind: pde", "vars: t1", "op l1: @t1"], 3,
              "repeated 'kind:' line"),
+            (["kind: td", "indep: t x", "", "dep: x", "eq x: 1 | 2"], 4,
+             "independent and dependent variables overlap"),
         ],
     )
     def test_lines_outside_the_kind_rejected(self, lines, line, message):
@@ -140,6 +142,8 @@ class TestParsing:
             ("-", "row ends in a dangling sign: '-'"),
             ("", "empty row"),
             ("   ", "empty row"),
+            ("2*@x", "row is linearly bound to the other rows (rank deficient)"),
+            ("0", "row is linearly bound to the other rows (rank deficient)"),
         ],
     )
     @pytest.mark.parametrize("row_kind", ["op", "form"])
