@@ -2,8 +2,8 @@
 check-fixtures.
 
 Exit codes: 0 success, 1 verification or fixture failure, 2 input errors.
-Output is deterministic for identical invocations; ``--seed`` threads through
-the sampling oracles only (exact symbolic verdicts are seed independent).
+Output is deterministic for identical invocations; ``--seed`` (analyze,
+verify, check-fixtures) seeds the sampling oracles, not the exact verdicts.
 """
 
 from __future__ import annotations
@@ -148,6 +148,11 @@ def _cmd_verify(args) -> int:
 
 def _convert(system: System, target: str, pivots: list[str] | None):
     kind = system.kind
+    if pivots and (target == "pde" or (kind == "td" and target != "normal")):
+        raise CliError(
+            f"--pivots does not apply to {kind} -> {target}: only pfaff -> td, "
+            "td -> normal and pde -> normal, td or pfaff take pivots"
+        )
     if target == "pde" and kind != "pde":
         pde, excluded = operator_family(system)
         if pde is None:
@@ -348,14 +353,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True):
-        if with_input:
-            p.add_argument("input", help="system file (.dsys) or directory")
+    def common(p, seeded=False):
+        p.add_argument("input", help="system file (.dsys) or directory")
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument("--seed", type=int, default=0, help="oracle sampling seed")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="oracle sampling seed")
 
     p_analyze = sub.add_parser("analyze", help="full integrability report")
-    common(p_analyze)
+    common(p_analyze, seeded=True)
     p_analyze.add_argument("--integral", action="append", default=[])
     p_analyze.add_argument("--expect-valid", action="store_true")
     p_analyze.add_argument(
@@ -368,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_verify = sub.add_parser("verify", help="verify candidate first integrals")
-    common(p_verify)
+    common(p_verify, seeded=True)
     p_verify.add_argument("--integral", action="append", default=[])
     p_verify.add_argument("--expect-valid", action="store_true")
     p_verify.set_defaults(func=_cmd_verify)
@@ -393,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser(
         "check-fixtures", help="run a fixture directory against sidecars"
     )
-    common(p_check)
+    common(p_check, seeded=True)
     p_check.set_defaults(func=_cmd_check_fixtures)
 
     return parser

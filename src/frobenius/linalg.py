@@ -6,12 +6,13 @@ certificates.  One pivot loop eliminates over the field to reduced rows
 determinant and witness minors are read off its pivots: a minor on the pivot
 rows and columns is the signed product of the pivot values.  Each elimination
 step returns canonical forms (the expression layer cancels
-numerator/denominator gcds).  Sums of products (matrix products, span
-coefficients) and the self-checks of certificates and inverses cancel once
-per returned value, through ``Expr._sum_of_products``: the groups are
-cross-multiplied, so a self-check's sum, which is zero, needs no gcd.  The
-exterior layer's coefficients are values that must stay small, and sum over
-the lcm instead (``Expr._sum_over_lcm``).  The pivot rule is deterministic:
+numerator/denominator gcds).  A span query eliminates nothing: it reads
+the target's weights off the reduced rows.  Sums of products (matrix
+products, a query's residuals and coefficients) and the self-checks of
+certificates and inverses cancel once per returned value, through
+``Expr._sum_of_products``: the groups are cross-multiplied, so a zero sum
+needs no gcd.  The exterior layer's coefficients must stay small, and sum
+over the lcm (``Expr._sum_over_lcm``).  The pivot rule is deterministic:
 smallest printed form, ties broken by lowest row then column.
 Every pivot contributes its numerator and denominator factors to an excluded
 locus so callers can report where the generic answer degenerates.  A locus is
@@ -271,8 +272,9 @@ def invert(matrix: ExprMatrix) -> tuple[ExprMatrix, frozenset[Expr]]:
     solver = SpanSolver(matrix)
     if solver.rank < size:
         raise LinalgError("matrix is singular over the function field")
-    # the reduced rows are the identity's, sorted by pivot column
-    inverse = ExprMatrix.from_rows([t for _, t, _, _ in solver.rows])
+    # the reduced rows' transforms, sorted by pivot column, are the inverse's
+    work = solver.elimination.work
+    inverse = ExprMatrix.from_rows([work[r][size:] for r, _ in solver.pivots])
     product = matrix.mul(inverse)
     for i in range(size):
         for j in range(size):
@@ -302,15 +304,16 @@ class SpanSolver:
     """Reduced row basis of a generator family for repeated span queries.
 
     Eliminates [G | I] once, pivoting in G's columns (``elimination``: its
-    pivots, values and locus are those of eliminating G alone, and its rows
-    begin with G's reduced rows); each query reduces the target against the
-    reduced rows, which yields combination coefficients in the original
-    generators (via the recorded transform) or a provably nonzero witness
-    minor of the stacked matrix.  A member's coefficients are each one sum
-    of products over the reducing rows' transforms, with one cancel; its
-    check sums the coefficients times each generator column, minus the
-    target, and that sum must be zero.  A witness minor is the pivot minor
-    times the reduced target's first nonzero entry (a Schur complement).
+    pivots, values and locus are those of eliminating G alone; each pivot
+    row holds G's reduced row, then the transform that forms it from the
+    generators).  A reduced row is 1 in its pivot column and 0 in the other
+    pivot columns, so a target's weight on it is the target's entry there.
+    Each residual entry, the target entry minus the weighted G parts, is
+    then one sum of products, and so is each member coefficient, over the
+    weighted transforms; a member's check sums the coefficients times each
+    generator column, minus the target, and that sum must be zero.  A
+    nonmember's witness minor is the pivot minor times its first nonzero
+    residual entry (a Schur complement); no later entry is formed.
     """
 
     def __init__(self, generators: ExprMatrix):
@@ -326,10 +329,6 @@ class SpanSolver:
         self.excluded = result.excluded
         self.pivots = sorted(result.pivots, key=lambda rc: rc[1])
         self.rank = len(self.pivots)
-        self.rows = [
-            (result.work[r][:n], result.work[r][n:], r, c)
-            for r, c in self.pivots
-        ]
 
     @cached_property
     def _pivot_minor(self) -> Expr:
@@ -339,26 +338,25 @@ class SpanSolver:
     def query(self, target: Sequence[Expr]) -> SpanCertificate:
         generators = self.generators
         scope = generators.scope
-        m = generators.rows
-        if len(target) != generators.cols:
+        m, n = generators.rows, generators.cols
+        if len(target) != n:
             raise LinalgError("target width mismatch")
-        residual = list(target)
-        factors = []  # (residual pivot entry, transform row) per reducing row
-        for row, transform, _, c in self.rows:
-            factor = residual[c]
-            if factor.is_zero():
-                continue
-            residual = [a - factor * b for a, b in zip(residual, row)]
-            factors.append((factor, transform))
-        leftover = next(
-            (j for j, e in enumerate(residual) if not e.is_zero()), None
-        )
-        if leftover is None:
+        rows = [self.elimination.work[r] for r, _ in self.pivots]
+        pivot_cols = [c for _, c in self.pivots]
+        # a reduced row is 1 in its pivot column and 0 in the other pivot
+        # columns, so the target's weight on it is the target's entry there
+        weights = [target[c] for c in pivot_cols]
+        for j in sorted(set(range(n)) - set(pivot_cols)):
+            pairs = [(-target[j], scope.one), *zip(weights, (r[j] for r in rows))]
+            residual = -Expr._sum_of_products(scope, pairs)
+            if not residual.is_zero():
+                break
+        else:
             coefficients = [
-                Expr._sum_of_products(scope, [(f, t[i]) for f, t in factors])
+                Expr._sum_of_products(scope, zip(weights, (r[n + i] for r in rows)))
                 for i in range(m)
             ]
-            for j in range(generators.cols):
+            for j in range(n):
                 pairs = list(zip(coefficients, generators.col(j)))
                 pairs.append((scope.one, -target[j]))
                 if not Expr._sum_of_products(scope, pairs).is_zero():
@@ -368,21 +366,17 @@ class SpanSolver:
                 coefficients=coefficients,
                 excluded=self.excluded,
             )
-        rows = sorted(r for _, _, r, _ in self.rows) + [m]
-        pivot_cols = [c for _, _, _, c in self.rows]
-        cols = sorted(pivot_cols + [leftover])
-        # moving the leftover column past the later pivot columns gives the
-        # block form [[A, b], [t, t_l]]: det(A) times t_l - t A^-1 b, which is
-        # the reduced target's leftover entry
-        minor = self._pivot_minor * residual[leftover]
-        if sum(c > leftover for c in pivot_cols) % 2:
+        # moving column j past the later pivot columns gives the block form
+        # [[A, b], [t, t_j]]: det(A) times t_j - t A^-1 b, the residual entry
+        minor = self._pivot_minor * residual
+        if sum(c > j for c in pivot_cols) % 2:
             minor = -minor
         if minor.is_zero():
             raise LinalgError("witness minor failed validation")
         return SpanCertificate(
             member=False,
-            witness_rows=rows,
-            witness_cols=cols,
+            witness_rows=sorted(r for r, _ in self.pivots) + [m],
+            witness_cols=sorted(pivot_cols + [j]),
             witness_minor=minor,
             excluded=self.excluded,
         )

@@ -165,21 +165,34 @@ class TestConvert:
         assert result.returncode == 0
         assert "pivots: x1" in result.stdout
 
+    BAD_PIVOTS = [
+        ("ex_3_2", "normal", "x1,x1", "pivots must be distinct"),
+        ("ex_3_2", "normal", "zz", "pivots name undeclared variables ['zz']"),
+        ("ex_3_2", "normal", "x1,x2", "singular pivot choice"),
+        ("ex_3_2", "normal", "t1,t2,x1", "3 pivots for 2 operators"),
+        # conversions that take no pivots reject them, even undeclared ones
+        ("ex_1_3", "td", "zz", "--pivots does not apply to td -> td"),
+        ("ex_1_3", "pfaff", "x1", "--pivots does not apply to td -> pfaff"),
+        ("ex_1_3", "pde", "x1", "--pivots does not apply to td -> pde"),
+        ("ex_2_23", "pde", "x1", "--pivots does not apply to pde -> pde"),
+        ("ex_4_1", "pde", "nope", "--pivots does not apply to pfaff -> pde"),
+    ]
+
     @pytest.mark.parametrize(
-        "pivots, message",
-        [
-            ("x1,x1", "pivots must be distinct"),
-            ("zz", "pivots name undeclared variables ['zz']"),
-            ("x1,x2", "singular pivot choice"),
-            ("t1,t2,x1", "3 pivots for 2 operators"),
-        ],
+        "fixture, target, pivots, message",
+        BAD_PIVOTS,
+        ids=[f"{pivots}-{message}" for _, _, pivots, message in BAD_PIVOTS],
     )
-    def test_bad_normal_pivots_are_usage_errors(self, pivots, message):
+    def test_bad_normal_pivots_are_usage_errors(
+        self, fixture, target, pivots, message
+    ):
+        """Bad pivots for a normal form, and pivots for a conversion that
+        takes none, are usage errors."""
         result = run_cli(
             "convert",
-            str(FIXTURES / "ex_3_2.dsys"),
+            str(FIXTURES / f"{fixture}.dsys"),
             "--to",
-            "normal",
+            target,
             "--pivots",
             pivots,
         )
@@ -187,6 +200,9 @@ class TestConvert:
         assert result.stdout == ""
         assert result.stderr.startswith("error: ") and message in result.stderr
         assert "Traceback" not in result.stderr
+        if "does not apply" in message:
+            taking = "only pfaff -> td, td -> normal and pde -> normal, td or pfaff"
+            assert f"{taking} take pivots" in result.stderr
 
     def test_output_reparses(self, tmp_path):
         result = run_cli(
@@ -362,6 +378,19 @@ class TestCompleteAndBracket:
             "brackets": [],
             "witness": None,
         }
+
+    @pytest.mark.parametrize(
+        "command", [["complete"], ["bracket"], ["convert", "--to", "td"]]
+    )
+    def test_seed_is_not_an_option(self, command):
+        """Only analyze, verify and check-fixtures sample; the exact
+        commands take no --seed."""
+        result = run_cli(
+            command[0], str(FIXTURES / "ex_1_3.dsys"), *command[1:], "--seed", "1"
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "unrecognized arguments: --seed 1" in result.stderr
 
 
 class TestCheckFixtures:

@@ -408,24 +408,28 @@ class TestWitnessMinors:
 class TestSpanSolverCertificates:
     """Member certificates take one cancel per coefficient and are re-checked.
 
-    The family's pivots are the monomials x1, x2, x3, so its reduced rows
-    are polynomial and its transform is diag(1/x1, 1/x2, 1/x3).  Reducing
-    a polynomial target then needs no cancel; only the coefficients do.
+    A query reads the target's weights off its pivot entries, so it forms
+    each residual entry and each coefficient as one sum of products: a
+    member's residual entries are zero and need no gcd, and whatever the
+    reduced rows' denominators, only the coefficients cancel.
     """
 
-    ROWS = [
+    MONOMIAL_PIVOTS = [
         ["x1", "0", "0", "x1*x4^2 - 3*x1*x5 + x1", "2*x1*x4*x5 - x1^2"],
         ["0", "x2", "0", "x2*x5^2 + x2*x4 - 7*x2", "x2^2*x4 - 5*x2*x5"],
         ["0", "0", "x3", "4*x3*x4*x5 - x3^2 + x3", "x3*x4^2 - x3*x5^2"],
     ]
+    # the reduced rows and the transform carry denominators
+    DENSE = [
+        ["x1 + x2", "x2", "1", "x4", "0"],
+        ["x3", "x1 - x4", "x5", "2", "0"],
+        ["1", "x5", "x2*x3", "x1", "0"],
+    ]
 
-    @classmethod
-    def _solver_and_member(cls, scope):
-        generators = matrix_of(scope, cls.ROWS)
-        mix = [
-            scope.parse(text)
-            for text in ("(x4 + 2)/x1", "(x5^2 - x1)/x2", "3*x2*x4/x3")
-        ]
+    @staticmethod
+    def _solver_and_member(scope, rows, mix_texts):
+        generators = matrix_of(scope, rows)
+        mix = [scope.parse(text) for text in mix_texts]
         target = [
             sum((mix[i] * generators.at(i, j) for i in range(3)), scope.zero)
             for j in range(generators.cols)
@@ -433,9 +437,13 @@ class TestSpanSolverCertificates:
         assert all(e.denominator().is_one() for e in target)
         return SpanSolver(generators), mix, target
 
-    def test_member_query_cancels_once_per_coefficient(self, s5, monkeypatch):
-        solver, mix, target = self._solver_and_member(s5)
-        assert [c for _, c in solver.pivots] == [0, 1, 2]
+    @classmethod
+    def _monomial_case(cls, scope):
+        mix = ("(x4 + 2)/x1", "(x5^2 - x1)/x2", "3*x2*x4/x3")
+        return cls._solver_and_member(scope, cls.MONOMIAL_PIVOTS, mix)
+
+    @staticmethod
+    def _query_counting_cancels(solver, target, monkeypatch):
         calls = []
         cofactors = expr._cofactors
 
@@ -444,16 +452,33 @@ class TestSpanSolverCertificates:
             return cofactors(f, g)
 
         monkeypatch.setattr(expr, "_cofactors", counting)
-        certificate = solver.query(target)
+        return solver.query(target), len(calls)
+
+    def test_member_query_cancels_once_per_coefficient(self, s5, monkeypatch):
+        solver, mix, target = self._monomial_case(s5)
+        assert [c for _, c in solver.pivots] == [0, 1, 2]
+        certificate, cancels = self._query_counting_cancels(solver, target, monkeypatch)
         assert certificate.member
         assert certificate.coefficients == mix
-        assert len(calls) <= solver.generators.rows
+        assert cancels <= solver.generators.rows
+
+    def test_reduced_rows_with_denominators(self, s5, monkeypatch):
+        mix = ("x4 + 2", "x5^2 - x1", "3*x2")
+        solver, mix, target = self._solver_and_member(s5, self.DENSE, mix)
+        reduced = [solver.elimination.work[r] for r, _ in solver.pivots]
+        assert any(not e.denominator().is_one() for row in reduced for e in row)
+        certificate, cancels = self._query_counting_cancels(solver, target, monkeypatch)
+        assert certificate.member
+        assert certificate.coefficients == mix
+        assert cancels <= solver.generators.rows
 
     def test_tampered_transform_fails_validation(self, s5):
-        solver, _, target = self._solver_and_member(s5)
+        solver, _, target = self._monomial_case(s5)
         assert solver.query(target).member
-        _, transform, _, _ = solver.rows[1]
-        transform[1] = transform[1] + s5.one
+        r, _ = solver.pivots[1]
+        work = solver.elimination.work
+        column = solver.generators.cols + 1  # the transform's second entry
+        work[r][column] = work[r][column] + s5.one
         with pytest.raises(LinalgError, match="span certificate failed validation"):
             solver.query(target)
 
